@@ -31,7 +31,8 @@ class DivergenceError(RuntimeError):
 
 
 class NumericalError(ArithmeticError):
-    """A numeric probe (finite differences) encountered a non-finite value."""
+    """A non-finite value where a finite one is required: an operator input
+    blob, the attention scores, or a finite-difference probe."""
 
 
 class InsufficientDataError(ValueError):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, DegenerateAttentionError, DimensionError
+from .errors import ConfigError, DegenerateAttentionError, DimensionError, NumericalError
 from .rng import Prng
 
 
@@ -173,7 +173,15 @@ def _check_blob(x: np.ndarray, config: NlRoiConfig) -> np.ndarray:
             f"blob shape {x.shape} disagrees with config "
             f"(D={config.d}, H={config.h}, W={config.w})"
         )
+    _require_finite(x, "RoI blob")
     return x
+
+
+def _require_finite(a: np.ndarray, name: str) -> None:
+    finite = np.isfinite(a)
+    if not finite.all():
+        index = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise NumericalError(f"{name} has a non-finite value {a[index]!r} at index {index}")
 
 
 def _flat_embed(x, w, b):
@@ -255,6 +263,7 @@ def nlroi_forward(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig):
     psi_flat = _flat_embed(x, params.w_psi, params.b_psi)
     raw = ops.matmul(phi_flat, psi_flat.T)
     scores = raw / config.scale()
+    _require_finite(scores, "attention score matrix")
     if n == 0:
         attn = np.zeros((0, 0))
     else:
@@ -405,8 +414,8 @@ def nlroi_backward(
     d_raw = d_scores / config.scale()
 
     # raw = Phi Psi^T
-    d_phi_flat = ops.matmul(d_raw, cache.psi_flat)
-    d_psi_flat = ops.matmul(d_raw.T, cache.phi_flat)
+    d_phi_flat = d_raw @ cache.psi_flat
+    d_psi_flat = d_raw.T @ cache.phi_flat
     d_x_phi, d_w_phi, d_b_phi = ops.conv2d_1x1_vjp(
         x, params.w_phi, params.b_phi, d_phi_flat.reshape(n, config.d_f, h, w)
     )

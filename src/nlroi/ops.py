@@ -1,11 +1,23 @@
 """Primitive tensor operations and their vector-Jacobian products.
 
-Tensors are C-contiguous float64 numpy arrays. Every operation is a pure
-function of its inputs and is bit-reproducible: contractions accumulate in
-ascending index order with explicit loops instead of BLAS (whose reduction
-order depends on blocking and thread count), and softmax row normalization
-accumulates its addends in ascending *value* order, which makes attention
-outputs invariant under reordering of the rows being attended over.
+Tensors are C-contiguous float64 numpy arrays, and every operation is a
+pure function of its inputs. What the forward operations guarantee about
+their bits, given N RoIs along the leading axis:
+
+* The channel stages compute each RoI separately. ``conv2d_1x1`` makes one
+  identical BLAS call per RoI, and ``conv2d_3x3_same`` adds its terms to
+  each output element in a fixed order (bias, input channel, tap). An
+  RoI's output bits do not depend on where it sits in the batch.
+* ``matmul`` reduces over its inner index in ascending order with an
+  explicit loop, so a score depends only on its own pair of rows, and the
+  softmax normalizer adds its terms in ascending *value* order, so it does
+  not depend on the order of the entries it normalizes over.
+
+The VJPs contract with BLAS (``@``) and sum with NumPy reductions. They
+are deterministic run to run on one machine with one NumPy/BLAS build,
+but reordering the RoIs can change their last bits: a BLAS reduction's
+order depends on the operands' sizes and on where an element falls in the
+blocking.
 
 Backward passes are exposed two ways: per-op ``*_vjp`` functions, and a
 ``vjp(op_id, saved_inputs, upstream)`` dispatcher keyed by op name.
@@ -65,11 +77,16 @@ def matmul_vjp(a: np.ndarray, b: np.ndarray, d_out: np.ndarray):
             f"matmul upstream gradient has shape {d_out.shape}, "
             f"expected {(a.shape[0], b.shape[1])}"
         )
-    return matmul(d_out, b.T), matmul(a.T, d_out)
+    return d_out @ b.T, a.T @ d_out
 
 
 def conv2d_1x1(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise convolution: out[n,o,h,w] = b[o] + sum_c W[o,c] * X[n,c,h,w]."""
+    """Pointwise convolution: out[n,o,h,w] = b[o] + sum_c W[o,c] * X[n,c,h,w].
+
+    One GEMM per RoI, W @ X[n] over the flattened positions, then the bias.
+    Every RoI gets an identical BLAS call, so its output bits do not depend
+    on where it sits in the batch.
+    """
     x = _as_f64(x)
     w = _as_f64(w)
     b = _as_f64(b)
@@ -84,11 +101,9 @@ def conv2d_1x1(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
         )
     if b.shape[0] != cout:
         raise DimensionError(f"conv2d_1x1 bias {b.shape} vs weight {w.shape}")
-    out = np.empty((n, cout, h, wd))
-    out[:] = b[None, :, None, None]
-    for c in range(cin):
-        out += w[None, :, c, None, None] * x[:, c : c + 1, :, :]
-    return out
+    out = w @ x.reshape(n, cin, h * wd)
+    out += b[:, None]
+    return out.reshape(n, cout, h, wd)
 
 
 def conv2d_1x1_vjp(x: np.ndarray, w: np.ndarray, b: np.ndarray, d_out: np.ndarray):
@@ -98,17 +113,37 @@ def conv2d_1x1_vjp(x: np.ndarray, w: np.ndarray, b: np.ndarray, d_out: np.ndarra
         raise DimensionError(
             f"conv2d_1x1 upstream gradient {d_out.shape}, expected {(n, cout, h, wd)}"
         )
-    dx = np.zeros_like(x)
-    dw = np.zeros_like(w)
-    for c in range(cin):
-        dx[:, c, :, :] = np.sum(w[None, :, c, None, None] * d_out, axis=1)
-        dw[:, c] = np.sum(d_out * x[:, c : c + 1, :, :], axis=(0, 2, 3))
+    g = d_out.reshape(n, cout, h * wd)
+    dx = (w.T @ g).reshape(n, cin, h, wd)
+    # one GEMM over all (RoI, position) pairs: (Cout, N*P) @ (N*P, Cin)
+    g_cols = g.transpose(1, 0, 2).reshape(cout, n * h * wd)
+    x_cols = x.reshape(n, cin, h * wd).transpose(1, 0, 2).reshape(cin, n * h * wd)
+    dw = g_cols @ x_cols.T
     db = np.sum(d_out, axis=(0, 2, 3))
     return dx, dw, db
 
 
+# Elements per output block of conv2d_3x3_same: 512 KiB of float64, so a
+# block and its product buffer fit together in a 2 MiB L2 cache.
+_CONV3X3_BLOCK_ELEMS = 1 << 16
+
+
+def _pad_rois_last(x: np.ndarray) -> np.ndarray:
+    """(N,C,H,W) -> zero-padded (C,H+2,W+2,N), with the RoI axis innermost."""
+    n, c, h, wd = x.shape
+    xp = np.zeros((c, h + 2, wd + 2, n))
+    xp[:, 1:-1, 1:-1, :] = x.transpose(1, 2, 3, 0)
+    return xp
+
+
 def conv2d_3x3_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """3x3 cross-correlation, stride 1, zero padding 1 (spatial size preserved)."""
+    """3x3 cross-correlation, stride 1, zero padding 1 (spatial size preserved).
+
+    Each output element starts at its bias and adds W[o,c,ki,kj] * X[...]
+    for input channel c, then tap (ki, kj), in ascending order: a fixed
+    per-element order that a GEMM would not keep. Working in a RoIs-last
+    layout makes every term one contiguous elementwise pass.
+    """
     x = _as_f64(x)
     w = _as_f64(w)
     b = _as_f64(b)
@@ -124,18 +159,27 @@ def conv2d_3x3_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
         )
     if b.shape[0] != cout:
         raise DimensionError(f"conv2d_3x3 bias {b.shape} vs weight {w.shape}")
-    xp = np.zeros((n, cin, h + 2, wd + 2))
-    xp[:, :, 1:-1, 1:-1] = x
-    out = np.empty((n, cout, h, wd))
-    out[:] = b[None, :, None, None]
-    for c in range(cin):
-        for i in range(3):
-            for j in range(3):
-                out += (
-                    w[:, c, i, j].reshape(1, cout, 1, 1)
-                    * xp[:, c, i : i + h, j : j + wd][:, None, :, :]
-                )
-    return out
+    xp = _pad_rois_last(x)
+    out = np.empty((cout, h, wd, n))
+    out[:] = b[:, None, None, None]
+    # Output channels go in blocks so that a block and its product buffer
+    # stay in cache across all cin*9 passes; blocking over o leaves each
+    # element's own order of additions unchanged.
+    block = max(1, _CONV3X3_BLOCK_ELEMS // max(1, h * wd * n))
+    term = np.empty((min(block, cout), h, wd, n))
+    for o in range(0, cout, block):
+        acc = out[o : o + block]
+        prod = term[: acc.shape[0]]
+        for c in range(cin):
+            for i in range(3):
+                for j in range(3):
+                    np.multiply(
+                        w[o : o + block, c, i, j, None, None, None],
+                        xp[c, i : i + h, j : j + wd],
+                        out=prod,
+                    )
+                    acc += prod
+    return np.ascontiguousarray(out.transpose(3, 0, 1, 2))
 
 
 def conv2d_3x3_same_vjp(x: np.ndarray, w: np.ndarray, b: np.ndarray, d_out: np.ndarray):
@@ -145,21 +189,18 @@ def conv2d_3x3_same_vjp(x: np.ndarray, w: np.ndarray, b: np.ndarray, d_out: np.n
         raise DimensionError(
             f"conv2d_3x3 upstream gradient {d_out.shape}, expected {(n, cout, h, wd)}"
         )
-    xp = np.zeros((n, cin, h + 2, wd + 2))
-    xp[:, :, 1:-1, 1:-1] = x
+    xp = _pad_rois_last(x)
+    g = d_out.transpose(1, 2, 3, 0).reshape(cout, h * wd * n)
     dxp = np.zeros_like(xp)
-    dw = np.zeros_like(w)
-    for c in range(cin):
-        for i in range(3):
-            for j in range(3):
-                patch = xp[:, c, i : i + h, j : j + wd]
-                dw[:, c, i, j] = np.sum(d_out * patch[:, None, :, :], axis=(0, 2, 3))
-                acc = np.zeros((n, h, wd))
-                for o in range(cout):
-                    acc += w[o, c, i, j] * d_out[:, o, :, :]
-                dxp[:, c, i : i + h, j : j + wd] += acc
+    dw = np.empty_like(w)
+    # one pair of GEMMs per tap; dX taps are added in ascending (ki, kj)
+    for i in range(3):
+        for j in range(3):
+            patch = xp[:, i : i + h, j : j + wd].reshape(cin, h * wd * n)
+            dw[:, :, i, j] = g @ patch.T
+            dxp[:, i : i + h, j : j + wd] += (w[:, :, i, j].T @ g).reshape(cin, h, wd, n)
     db = np.sum(d_out, axis=(0, 2, 3))
-    return dxp[:, :, 1:-1, 1:-1].copy(), dw, db
+    return np.ascontiguousarray(dxp[:, 1:-1, 1:-1].transpose(3, 0, 1, 2)), dw, db
 
 
 def softmax_rows(s: np.ndarray, mask_diagonal: bool = False) -> np.ndarray:

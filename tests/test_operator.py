@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from nlroi import ops
-from nlroi.errors import ConfigError, DegenerateAttentionError, DimensionError
+from nlroi.errors import (
+    ConfigError,
+    DegenerateAttentionError,
+    DimensionError,
+    NumericalError,
+)
 from nlroi.gradcheck import rel_err
 from nlroi.operator import (
     NlRoiConfig,
@@ -234,6 +239,34 @@ class TestForward:
             assert np.array_equal(out_p, out[pi])
             assert np.array_equal(cache_p.scores, cache.scores[np.ix_(pi, pi)])
             assert np.array_equal(cache_p.attention, cache.attention[np.ix_(pi, pi)])
+
+    def test_permutation_equivariance_bitwise_at_realistic_widths(self):
+        for attend in (True, False):
+            cfg = NlRoiConfig(
+                d=64, d_f=16, d_mid=16, d_g=16, h=7, w=7, attend_to_self=attend
+            )
+            x, params = random_case(29, 37, cfg)
+            out, _ = nlroi_forward(x, params, cfg)
+            pi = Prng(30).sample_indices(37, 37)
+            out_p, _ = nlroi_forward(x[pi], params, cfg)
+            assert np.array_equal(out_p, out[pi])
+
+    def test_non_finite_blob_raises(self):
+        cfg = small_config()
+        x, params = random_case(31, 8, cfg)
+        for bad in (np.nan, np.inf):
+            x_bad = x.copy()
+            x_bad[3, 2, 1, 0] = bad
+            with pytest.raises(NumericalError, match=r"RoI blob .* \(3, 2, 1, 0\)"):
+                nlroi_forward(x_bad, params, cfg)
+
+    def test_overflowing_scores_raise(self):
+        # finite inputs near 1e160 overflow the score contraction
+        cfg = small_config()
+        x, params = random_case(32, 8, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="attention score matrix"):
+                nlroi_forward(x * 1e160, params, cfg)
 
     def test_empty_blob_passes_through(self):
         cfg = small_config()

@@ -103,6 +103,14 @@ class TestConv1x1:
         out = ops.conv2d_1x1(x, w, np.zeros(2))
         assert np.array_equal(out.reshape(-1), [3.0, 2.0])
 
+    def test_batch_equals_each_roi_alone_bitwise(self):
+        prng = Prng(12)
+        x = prng.normals(37 * 64 * 7 * 7).reshape(37, 64, 7, 7)
+        w = prng.normals(16 * 64).reshape(16, 64)
+        b = prng.normals(16)
+        alone = np.concatenate([ops.conv2d_1x1(x[i : i + 1], w, b) for i in range(37)])
+        assert np.array_equal(ops.conv2d_1x1(x, w, b), alone)
+
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError):
             ops.conv2d_1x1(np.zeros((1, 3, 2, 2)), np.zeros((2, 4)), np.zeros(2))
@@ -131,6 +139,13 @@ class TestConv3x3:
         prng = Prng(3)
         for _ in range(5):
             x = prng.normals(1 * 2 * 4 * 4).reshape(1, 2, 4, 4)
+            w = prng.normals(3 * 2 * 3 * 3).reshape(3, 2, 3, 3)
+            b = prng.normals(3)
+            assert np.array_equal(ops.conv2d_3x3_same(x, w, b), conv3x3_oracle(x, w, b))
+        # several RoIs on non-square maps, so a transpose between layouts
+        # that swapped two axes would show
+        for shape in ((3, 2, 3, 5), (3, 2, 5, 2)):
+            x = prng.normals(math.prod(shape)).reshape(shape)
             w = prng.normals(3 * 2 * 3 * 3).reshape(3, 2, 3, 3)
             b = prng.normals(3)
             assert np.array_equal(ops.conv2d_3x3_same(x, w, b), conv3x3_oracle(x, w, b))
@@ -291,6 +306,23 @@ class TestVjps:
         assert max_rel(dx, fd_grad(lambda v: np.sum(f(v, w, b) * up), x)) < 1e-6
         assert max_rel(dw, fd_grad(lambda v: np.sum(f(x, v, b) * up), w)) < 1e-6
         assert max_rel(db, fd_grad(lambda v: np.sum(f(x, w, v) * up), b)) < 1e-6
+
+    def test_conv_vjps_are_adjoint_at_larger_shapes(self):
+        # with zero bias a conv is bilinear in (X, W), so for any upstream U
+        # <conv(X; W), U> = <X, dX(U)> = <W, dW(U)>
+        prng = Prng(29)
+        x = prng.normals(5 * 32 * 7 * 5).reshape(5, 32, 7, 5)
+        up = prng.normals(x.size).reshape(x.shape)
+        bias = np.zeros(32)
+        for conv, conv_vjp, w_shape in (
+            (ops.conv2d_1x1, ops.conv2d_1x1_vjp, (32, 32)),
+            (ops.conv2d_3x3_same, ops.conv2d_3x3_same_vjp, (32, 32, 3, 3)),
+        ):
+            w = prng.normals(math.prod(w_shape)).reshape(w_shape)
+            dx, dw, _ = conv_vjp(x, w, bias, up)
+            forward = np.sum(conv(x, w, bias) * up)
+            for adjoint in (np.sum(x * dx), np.sum(w * dw)):
+                assert abs(adjoint - forward) <= 1e-12 * abs(forward)
 
     def test_softmax_vjp_fd(self):
         prng = Prng(24)
