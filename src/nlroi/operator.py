@@ -11,6 +11,15 @@ global average pool, giving a D_g vector per RoI). The mixed vector is tiled
 back to H x W and appended to the input channels, so the output blob has
 shape (N, D + D_g, H, W) with the original features untouched in front.
 
+In a detector head every image brings its own RoIs, and a RoI attends only
+to the RoIs of its own image. ``nlroi_forward`` takes the RoIs of several
+images concatenated along the first axis, with ``counts`` giving each
+image's RoI count. The channel stages (phi/psi embeddings, the g-branch,
+tile and concat) run once over all RoIs; the N x N stages (score, softmax,
+mix) run once per run of consecutive images with equal counts, on stacked
+(images, n, .) arrays. Every image's output is bitwise equal to what a
+call with that image alone returns.
+
 Two scaling modes divide the raw dot products: the square root of the
 channel count D_f (per-channel, the default) or of the full flattened
 length D_f*H*W. Self-attention can be disabled, in which case the diagonal
@@ -26,6 +35,7 @@ gives exact reverse-mode gradients using the cached forward activations.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -128,12 +138,16 @@ class NlRoiParams:
 
 @dataclass
 class ForwardCache:
+    """Forward activations. Per-RoI tensors cover all N RoIs of the call;
+    the N x N tensors hold one (images, n, n) stack per entry of ``groups``."""
+
     x: np.ndarray            # (N, D, H, W) input blob
+    groups: tuple            # (first row, images, RoIs per image) per run of equal counts
     phi_flat: np.ndarray     # (N, D_f*H*W)
     psi_flat: np.ndarray     # (N, D_f*H*W)
-    scores_raw: np.ndarray   # (N, N) dot products before scaling
-    scores: np.ndarray       # (N, N) scaled scores fed to the softmax
-    attention: np.ndarray    # (N, N) row-stochastic weights
+    scores_raw: list         # per group: dot products before scaling
+    scores: list             # per group: scaled scores fed to the softmax
+    attention: list          # per group: row-stochastic weights
     g_pre: np.ndarray        # (N, D_mid, H, W) before the ReLU
     g_post: np.ndarray       # (N, D_mid, H, W) after the ReLU
     g_pooled: np.ndarray     # (N, D_g) per-RoI embedding matrix G
@@ -184,6 +198,33 @@ def _require_finite(a: np.ndarray, name: str) -> None:
         raise NumericalError(f"{name} has a non-finite value {a[index]!r} at index {index}")
 
 
+def _image_counts(counts, n: int) -> tuple:
+    """Validated per-image RoI counts; ``None`` means one image of n RoIs."""
+    if counts is None:
+        return (n,)
+    arr = np.asarray(counts)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise DimensionError(f"counts must be a sequence of integers, got {counts!r}")
+    counts = tuple(int(c) for c in arr)
+    if any(c < 0 for c in counts):
+        image = next(i for i, c in enumerate(counts) if c < 0)
+        raise DimensionError(f"image {image} has a negative RoI count {counts[image]}")
+    if sum(counts) != n:
+        raise DimensionError(f"counts sum to {sum(counts)}, but the blob holds {n} RoIs")
+    return counts
+
+
+def _groups(counts: tuple) -> tuple:
+    """(first row, images, RoIs per image) for each run of equal counts."""
+    groups = []
+    row = 0
+    for rois, run in itertools.groupby(counts):
+        images = len(list(run))
+        groups.append((row, images, rois))
+        row += images * rois
+    return tuple(groups)
+
+
 def _flat_embed(x, w, b):
     # 1x1 conv then row-major flatten to (N, D_f*H*W); the explicit product
     # keeps the reshape well defined when N = 0
@@ -205,11 +246,13 @@ def attention_weights(
 ) -> np.ndarray:
     """Row softmax of the score matrix, optionally excluding each RoI's self.
 
-    With attend_to_self false the diagonal receives exactly zero weight
-    (scores treated as -inf, rows renormalized over the rest). The
-    ``literal_zero_diag`` debug switch instead overwrites diagonal scores
-    with literal 0.0 before a plain softmax, so the self entry keeps weight
-    exp(0); it exists only to quantify how much that reading differs.
+    ``s`` is one (n, n) matrix or a stack (images, n, n). With
+    attend_to_self false the diagonal receives exactly zero weight (scores
+    treated as -inf, rows renormalized over the rest). The
+    ``literal_zero_diag`` debug switch (one matrix only) instead overwrites
+    diagonal scores with literal 0.0 before a plain softmax, so the self
+    entry keeps weight exp(0); it exists only to quantify how much that
+    reading differs.
     """
     if attend_to_self:
         return ops.softmax_rows(s, mask_diagonal=False)
@@ -233,54 +276,85 @@ def embed_g(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig) -> np.ndarr
 
 
 def _mix_embeddings(p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Y[i,c] = sum_j P[i,j] * G[j,c], addends added in ascending value order.
+    """Y[b,i,c] = sum_j P[b,i,j] * G[b,j,c], addends added in ascending value order.
 
     Value-ordered accumulation makes each output depend only on the multiset
     of (weight, embedding) pairs, so permuting the attended RoIs changes
-    nothing, bit for bit.
+    nothing, bit for bit. The leading axis stacks images.
     """
-    n, m = p.shape
-    dg = g.shape[1]
+    images, n, m = p.shape
+    dg = g.shape[2]
     if m == 0:
-        return np.zeros((n, dg))
-    terms = np.sort(p[:, :, None] * g[None, :, :], axis=1)
+        return np.zeros((images, n, dg))
+    # every image's rows in one (images * n, m, dg) array; each row alone
+    terms = np.sort(p[:, :, :, None] * g[:, None, :, :], axis=2).reshape(images * n, m, dg)
     out = terms[:, 0, :].copy()
     for j in range(1, m):
         out += terms[:, j, :]
-    return out
+    return out.reshape(images, n, dg)
 
 
-def nlroi_forward(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig):
+def _stacked(a: np.ndarray, row: int, images: int, rois: int) -> np.ndarray:
+    """The group's rows of a per-RoI matrix as an (images, rois, cols) view."""
+    return a[row : row + images * rois].reshape(images, rois, a.shape[1])
+
+
+def _unstacked(stacks: list, cols: int) -> np.ndarray:
+    """Per-group (images, rois, cols) stacks back to one per-RoI matrix."""
+    return np.concatenate([s.reshape(-1, cols) for s in stacks] or [np.zeros((0, cols))])
+
+
+def nlroi_forward(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig, counts=None):
     """Forward pass: returns (output blob (N, D+D_g, H, W), ForwardCache).
 
-    N = 0 yields an empty output rather than an error (a detector may
-    propose zero regions). N = 1 with attend_to_self false is degenerate
-    and raises.
+    ``x`` holds the RoIs of one or more images, concatenated along the
+    first axis; ``counts`` gives each image's RoI count (``None``: one
+    image). A RoI attends only to the RoIs of its own image, and each
+    image's output rows are bitwise equal to a call with that image alone.
+    An image may have 0 RoIs (a detector may propose zero regions); an
+    image with 1 RoI is degenerate when attend_to_self is false and raises.
     """
     x = _check_blob(x, config)
-    n = x.shape[0]
+    counts = _image_counts(counts, x.shape[0])
+    if not config.attend_to_self and 1 in counts:
+        raise DegenerateAttentionError(
+            f"image {counts.index(1)} has a single RoI: with self-attention masked "
+            "it has no entries left to attend to"
+        )
+    groups = _groups(counts)
     phi_flat = _flat_embed(x, params.w_phi, params.b_phi)
     psi_flat = _flat_embed(x, params.w_psi, params.b_psi)
-    raw = ops.matmul(phi_flat, psi_flat.T)
-    scores = raw / config.scale()
-    _require_finite(scores, "attention score matrix")
-    if n == 0:
-        attn = np.zeros((0, 0))
-    else:
-        attn = attention_weights(scores, config.attend_to_self)
     g_pre = ops.conv2d_1x1(x, params.w_g1, params.b_g1)
     g_post = ops.relu(g_pre)
     g_conv = ops.conv2d_3x3_same(g_post, params.w_g2, params.b_g2)
     g_pooled = ops.global_avg_pool(g_conv)
-    y_vec = _mix_embeddings(attn, g_pooled)
+    raws, scores, attns, mixed = [], [], [], []
+    image = 0
+    for row, images, rois in groups:
+        raw = ops.matmul(
+            _stacked(phi_flat, row, images, rois),
+            _stacked(psi_flat, row, images, rois).transpose(0, 2, 1),
+        )
+        s = raw / config.scale()
+        if not np.isfinite(s).all():
+            k = int(np.argmin(np.isfinite(s).reshape(images, -1).all(axis=1)))
+            _require_finite(s[k], f"attention score matrix of image {image + k}")
+        attn = attention_weights(s, config.attend_to_self)
+        mixed.append(_mix_embeddings(attn, _stacked(g_pooled, row, images, rois)))
+        raws.append(raw)
+        scores.append(s)
+        attns.append(attn)
+        image += images
+    y_vec = _unstacked(mixed, config.d_g)
     out = ops.concat_channels(x, ops.tile_spatial(y_vec, config.h, config.w))
     cache = ForwardCache(
         x=x,
+        groups=groups,
         phi_flat=phi_flat,
         psi_flat=psi_flat,
-        scores_raw=raw,
+        scores_raw=raws,
         scores=scores,
-        attention=attn,
+        attention=attns,
         g_pre=g_pre,
         g_post=g_post,
         g_pooled=g_pooled,
@@ -392,7 +466,9 @@ def nlroi_backward(
     """Exact reverse-mode gradients. Returns (dX, NlRoiParams of gradients).
 
     dX collects four contributions in fixed order: the concat pass-through,
-    the phi path, the psi path, and the g path.
+    the phi path, the psi path, and the g path. The mix, softmax and score
+    VJPs run per group of the cache with batched products; parameter
+    gradients are summed over every image of the call.
     """
     x = cache.x
     n = x.shape[0]
@@ -408,14 +484,23 @@ def nlroi_backward(
     d_x_pass, d_tile = ops.concat_channels_vjp(x, np.empty((n, d_g, h, w)), d_out)
     (d_y,) = ops.tile_spatial_vjp(cache.y_vec, h, w, d_tile)
 
-    # Y = P G
-    d_attn, d_g_pooled = ops.matmul_vjp(cache.attention, cache.g_pooled, d_y)
-    d_scores = ops.softmax_vjp_from_probs(cache.attention, d_attn)
-    d_raw = d_scores / config.scale()
-
-    # raw = Phi Psi^T
-    d_phi_flat = d_raw @ cache.psi_flat
-    d_psi_flat = d_raw.T @ cache.phi_flat
+    d_mixed, d_phi, d_psi = [], [], []
+    for (row, images, rois), attn in zip(cache.groups, cache.attention):
+        phi = _stacked(cache.phi_flat, row, images, rois)
+        psi = _stacked(cache.psi_flat, row, images, rois)
+        # Y = P G
+        d_attn, d_g_stack = ops.matmul_vjp(
+            attn, _stacked(cache.g_pooled, row, images, rois), _stacked(d_y, row, images, rois)
+        )
+        d_raw = ops.softmax_vjp_from_probs(attn, d_attn) / config.scale()
+        # raw = Phi Psi^T
+        d_mixed.append(d_g_stack)
+        d_phi.append(d_raw @ psi)
+        d_psi.append(d_raw.transpose(0, 2, 1) @ phi)
+    flat = cache.phi_flat.shape[1]
+    d_g_pooled = _unstacked(d_mixed, d_g)
+    d_phi_flat = _unstacked(d_phi, flat)
+    d_psi_flat = _unstacked(d_psi, flat)
     d_x_phi, d_w_phi, d_b_phi = ops.conv2d_1x1_vjp(
         x, params.w_phi, params.b_phi, d_phi_flat.reshape(n, config.d_f, h, w)
     )

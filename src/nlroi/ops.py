@@ -12,15 +12,16 @@ their bits, given N RoIs along the leading axis:
   explicit loop, so a score depends only on its own pair of rows, and the
   softmax normalizer adds its terms in ascending *value* order, so it does
   not depend on the order of the entries it normalizes over.
+* ``matmul``, ``softmax_rows`` and ``sum_ascending_values`` also take a
+  stack of matrices with a leading batch axis. Each matrix of the stack
+  gets exactly the operations it would get alone, so its bits do not
+  depend on the others.
 
 The VJPs contract with BLAS (``@``) and sum with NumPy reductions. They
 are deterministic run to run on one machine with one NumPy/BLAS build,
 but reordering the RoIs can change their last bits: a BLAS reduction's
 order depends on the operands' sizes and on where an element falls in the
 blocking.
-
-Backward passes are exposed two ways: per-op ``*_vjp`` functions, and a
-``vjp(op_id, saved_inputs, upstream)`` dispatcher keyed by op name.
 """
 
 from __future__ import annotations
@@ -39,45 +40,62 @@ def _require_rank(x: np.ndarray, rank: int, name: str) -> None:
         raise DimensionError(f"{name} must have rank {rank}, got shape {x.shape}")
 
 
+def _require_matrices(x: np.ndarray, name: str) -> None:
+    if x.ndim not in (2, 3):
+        raise DimensionError(
+            f"{name} must be a matrix or a stack of matrices, got shape {x.shape}"
+        )
+
+
 def sum_ascending_values(m: np.ndarray) -> np.ndarray:
-    """Sum each row of a 2-D array with addends taken in ascending value order.
+    """Sum each row (last axis) with addends taken in ascending value order.
 
     The result depends only on the multiset of values in each row, so any
-    permutation of the columns produces bit-identical sums.
+    permutation of the columns produces bit-identical sums. Leading axes
+    are batch axes: (..., cols) -> (...).
     """
-    rows, cols = m.shape
+    cols = m.shape[-1]
     if cols == 0:
-        return np.zeros(rows)
-    s = np.sort(m, axis=1)
+        return np.zeros(m.shape[:-1])
+    # rows of every batch in one 2-D array: each row is still summed alone
+    s = np.sort(m, axis=-1).reshape(-1, cols)
     out = s[:, 0].copy()
     for j in range(1, cols):
         out += s[:, j]
-    return out
+    return out.reshape(m.shape[:-1])
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """C[i,j] = sum_p A[i,p] * B[p,j], accumulated in ascending p."""
+    """C[i,j] = sum_p A[i,p] * B[p,j], accumulated in ascending p.
+
+    Takes two matrices, or two stacks (B, m, k) and (B, k, n) multiplied
+    pairwise. Every output element gets the same sequence of operations in
+    either form, and depends only on its own row of A and column of B.
+    """
     a = _as_f64(a)
     b = _as_f64(b)
-    _require_rank(a, 2, "matmul lhs")
-    _require_rank(b, 2, "matmul rhs")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    m, k = a.shape
-    n = b.shape[1]
-    out = np.zeros((m, n))
-    for p in range(k):
-        out += a[:, p : p + 1] * b[p : p + 1, :]
+    _require_matrices(a, "matmul lhs")
+    _require_matrices(b, "matmul rhs")
+    if a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
+        raise DimensionError(f"matmul shapes disagree: {a.shape} x {b.shape}")
+    batch = tuple(range(a.ndim - 2))
+    # a_cols[p] is column p of A as (..., m, 1), b_rows[p] row p of B as (..., 1, n)
+    a_cols = a.transpose((a.ndim - 1,) + batch + (a.ndim - 2,))[..., None]
+    b_rows = b.transpose((b.ndim - 2,) + batch + (b.ndim - 1,))[..., None, :]
+    out = np.zeros(a.shape[:-1] + b.shape[-1:])
+    for p in range(a.shape[-1]):
+        out += a_cols[p] * b_rows[p]
     return out
 
 
 def matmul_vjp(a: np.ndarray, b: np.ndarray, d_out: np.ndarray):
-    if d_out.shape != (a.shape[0], b.shape[1]):
+    """Gradients of ``matmul`` (matrices or stacks) through BLAS products."""
+    expected = a.shape[:-1] + b.shape[-1:]
+    if d_out.shape != expected:
         raise DimensionError(
-            f"matmul upstream gradient has shape {d_out.shape}, "
-            f"expected {(a.shape[0], b.shape[1])}"
+            f"matmul upstream gradient has shape {d_out.shape}, expected {expected}"
         )
-    return d_out @ b.T, a.T @ d_out
+    return d_out @ b.swapaxes(-1, -2), a.swapaxes(-1, -2) @ d_out
 
 
 def conv2d_1x1(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -208,11 +226,12 @@ def softmax_rows(s: np.ndarray, mask_diagonal: bool = False) -> np.ndarray:
 
     With ``mask_diagonal`` the diagonal entries receive exactly zero weight
     and each row renormalizes over its off-diagonal entries (the masked
-    scores are treated as -inf before exponentiation).
+    scores are treated as -inf before exponentiation). A stack (B, n, m)
+    is normalized matrix by matrix.
     """
     s = _as_f64(s)
-    _require_rank(s, 2, "softmax input")
-    n, m = s.shape
+    _require_matrices(s, "softmax input")
+    n, m = s.shape[-2:]
     if mask_diagonal:
         if n != m:
             raise DimensionError(f"diagonal masking needs a square matrix, got {s.shape}")
@@ -221,15 +240,16 @@ def softmax_rows(s: np.ndarray, mask_diagonal: bool = False) -> np.ndarray:
                 "a single masked row has no entries left to attend to"
             )
         work = s.copy()
-        np.fill_diagonal(work, -np.inf)
+        diag = np.arange(n)
+        work[..., diag, diag] = -np.inf
     else:
         work = s
-    if n == 0 or m == 0:
-        return np.zeros((n, m))
-    row_max = np.max(work, axis=1, keepdims=True)
+    if work.size == 0:
+        return np.zeros(s.shape)
+    row_max = np.max(work, axis=-1, keepdims=True)
     e = np.exp(work - row_max)
     totals = sum_ascending_values(e)
-    return e / totals[:, None]
+    return e / totals[..., None]
 
 
 def softmax_rows_vjp(s: np.ndarray, mask_diagonal: bool, d_out: np.ndarray):
@@ -245,9 +265,10 @@ def softmax_vjp_from_probs(p: np.ndarray, d_p: np.ndarray) -> np.ndarray:
     """Softmax backward given the forward probabilities.
 
     dS[i,j] = P[i,j] * (dP[i,j] - sum_k dP[i,k] P[i,k]). Masked entries have
-    P = 0, so their score gradient is exactly zero.
+    P = 0, so their score gradient is exactly zero. Leading axes are batch
+    axes.
     """
-    row_dot = np.sum(d_p * p, axis=1, keepdims=True)
+    row_dot = np.sum(d_p * p, axis=-1, keepdims=True)
     return p * (d_p - row_dot)
 
 
@@ -337,27 +358,3 @@ def concat_channels_vjp(x: np.ndarray, t: np.ndarray, d_out: np.ndarray):
         )
     return d_out[:, :d].copy(), d_out[:, d:].copy()
 
-
-_VJP_TABLE = {
-    "matmul": lambda saved, g: matmul_vjp(*saved, g),
-    "conv2d_1x1": lambda saved, g: conv2d_1x1_vjp(*saved, g),
-    "conv2d_3x3_same": lambda saved, g: conv2d_3x3_same_vjp(*saved, g),
-    "softmax_rows": lambda saved, g: softmax_rows_vjp(*saved, g),
-    "relu": lambda saved, g: relu_vjp(*saved, g),
-    "global_avg_pool": lambda saved, g: global_avg_pool_vjp(*saved, g),
-    "tile_spatial": lambda saved, g: tile_spatial_vjp(*saved, g),
-    "concat_channels": lambda saved, g: concat_channels_vjp(*saved, g),
-}
-
-
-def vjp(op_id: str, saved_inputs: tuple, upstream: np.ndarray) -> tuple:
-    """Backward pass of a named primitive.
-
-    ``saved_inputs`` are the op's forward arguments in declaration order;
-    returns one gradient per differentiable input.
-    """
-    try:
-        fn = _VJP_TABLE[op_id]
-    except KeyError:
-        raise ValueError(f"unknown op id {op_id!r}") from None
-    return fn(saved_inputs, np.asarray(upstream, dtype=np.float64))

@@ -19,12 +19,17 @@ _MIX2 = 0x94D049BB133111EB
 _TWO53_INV = 2.0**-53
 
 
+_U64 = {c: np.uint64(c) for c in (_GAMMA, _MIX1, _MIX2, 27, 30, 31)}
+
+
 def _mix_array(z: np.ndarray) -> np.ndarray:
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(_MIX1)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    """The SplitMix64 output mix, in place on a fresh uint64 array."""
+    z ^= z >> _U64[30]
+    z *= _U64[_MIX1]
+    z ^= z >> _U64[27]
+    z *= _U64[_MIX2]
+    z ^= z >> _U64[31]
+    return z
 
 
 class Prng:
@@ -44,15 +49,19 @@ class Prng:
         """One double in [0, 1) from the top 53 bits of the next output."""
         return (self.next_u64() >> 11) * _TWO53_INV
 
+    def u64s(self, count: int) -> np.ndarray:
+        """`count` raw outputs (uint64), bit-identical to next_u64() in a loop."""
+        ks = np.arange(1, count + 1, dtype=np.uint64)
+        ks *= _U64[_GAMMA]
+        ks += np.uint64(self._state)
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        return _mix_array(ks)
+
     def uniforms(self, count: int) -> np.ndarray:
         """`count` uniform doubles, bit-identical to calling uniform() in a loop."""
         if count == 0:
             return np.zeros(0)
-        ks = np.uint64(self._state) + np.uint64(_GAMMA) * np.arange(
-            1, count + 1, dtype=np.uint64
-        )
-        self._state = (self._state + count * _GAMMA) & _MASK64
-        return (_mix_array(ks) >> np.uint64(11)).astype(np.float64) * _TWO53_INV
+        return (self.u64s(count) >> np.uint64(11)).astype(np.float64) * _TWO53_INV
 
     def uniform_in(self, lo: float, hi: float) -> float:
         return lo + self.uniform() * (hi - lo)
@@ -82,8 +91,19 @@ class Prng:
         """k distinct indices from range(n) via a partial Fisher-Yates shuffle."""
         if not 0 <= k <= n:
             raise ValueError(f"cannot sample {k} indices from range({n})")
-        pool = list(range(n))
-        for i in range(k):
-            j = i + self.randint(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]
+        return partial_shuffle(n, self.u64s(k))
+
+
+def partial_shuffle(n: int, draws: np.ndarray) -> list[int]:
+    """The first len(draws) entries of a Fisher-Yates shuffle of range(n).
+
+    Swap i exchanges entry i with entry i + draws[i] % (n - i), the value
+    randint(n - i) gives for the same output.
+    """
+    k = len(draws)
+    offsets = (draws % (n - np.arange(k, dtype=np.uint64))).tolist()
+    pool = list(range(n))
+    for i, offset in enumerate(offsets):
+        j = i + offset
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]

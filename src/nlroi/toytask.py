@@ -14,6 +14,13 @@ oracle that even knows its own majority membership (a generous bound; a
 realizable per-RoI classifier does worse). ``train`` fits either variant
 with SGD + momentum and weight decay; ``evaluate`` measures per-RoI
 accuracy on freshly drawn scenes.
+
+Scenes are drawn one at a time, but a training step (and each chunk of
+evaluation scenes) goes through the model in one call: the nlroi variant
+concatenates the scenes' RoIs into one blob and makes one operator forward
+and one backward, with each scene as a separate image, so RoIs attend only
+within their own scene. The baseline variant pools each scene as it is
+drawn and keeps only the pooled rows.
 """
 
 from __future__ import annotations
@@ -32,12 +39,14 @@ from .operator import (
     nlroi_backward,
     nlroi_forward,
 )
-from .rng import Prng
+from .rng import Prng, partial_shuffle
 
 # Evaluation draws scenes from a salted seed so that passing the training
 # seed to evaluate() never replays the exact scenes seen during training.
 _EVAL_SEED_SALT = 0xD1B54A32D192ED03
 _MASK64 = (1 << 64) - 1
+# Scenes per model call in evaluate()
+_EVAL_CHUNK = 8
 
 NOISE_SIGMA = 0.1
 
@@ -76,21 +85,23 @@ class SceneSpec:
 def generate_scene(prng: Prng, spec: SceneSpec) -> Scene:
     """Draw one scene. PRNG order: majority class, majority slots, minority
     latents (ascending RoI index), then one noise value per (RoI, channel),
-    replicated across the H x W positions."""
+    replicated across the H x W positions.
+
+    The first three come from one block of n + 1 raw outputs, with the
+    values randint(k), sample_indices(n, m) and one randint(k - 1) per
+    minority RoI would take from the same outputs.
+    """
     n, k, d = spec.n, spec.k, spec.d
     m = majority_count(n)
-    majority = prng.randint(k)
-    slots = set(prng.sample_indices(n, m))
-    latent = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        if i in slots:
-            latent[i] = majority
-        else:
-            r = prng.randint(k - 1)
-            latent[i] = r if r < majority else r + 1
+    draws = prng.u64s(n + 1)
+    majority = int(draws[0] % np.uint64(k))
+    minority = np.ones(n, dtype=bool)
+    minority[partial_shuffle(n, draws[1 : m + 1])] = False
+    r = (draws[m + 1 :] % np.uint64(k - 1)).astype(np.int64)
+    latent = np.full(n, majority, dtype=np.int64)
+    latent[minority] = r + (r >= majority)
     base = spec.sigma * prng.normals(n * d).reshape(n, d)
-    for i in range(n):
-        base[i, latent[i]] += 1.0
+    base[np.arange(n), latent] += 1.0
     features = np.broadcast_to(base[:, :, None, None], (n, d, spec.h, spec.w)).copy()
     return Scene(
         features=features,
@@ -170,52 +181,50 @@ def init_model(
     )
 
 
-def model_logits(model: ToyModel, blob: np.ndarray):
-    """Per-RoI K-way logits plus the intermediates backward needs."""
+def _head_inputs(model: ToyModel, prng: Prng, scenes: int):
+    """Draw ``scenes`` scenes one at a time and compute the head's input rows.
+
+    The nlroi variant runs all the scenes' RoIs through one operator
+    forward, one image per scene, and pools its output; the baseline pools
+    each scene as it is drawn and never holds more than one scene's blob.
+    Returns (pooled rows, labels, RoIs per scene, operator cache or None).
+    """
+    rows, labels = [], []
+    for _ in range(scenes):
+        scene = generate_scene(prng, model.spec)
+        if model.nlroi_config is None:
+            rows.append(ops.global_avg_pool(scene.features))
+        else:
+            rows.append(scene.features)
+        labels.append(scene.labels)
+    counts = [len(l) for l in labels]
+    labels = np.concatenate(labels)
     if model.nlroi_config is None:
-        feats, cache = blob, None
-    else:
-        feats, cache = nlroi_forward(blob, model.nlroi_params, model.nlroi_config)
-    pooled = ops.global_avg_pool(feats)
-    logits = ops.matmul(pooled, model.w_head.T) + model.b_head[None, :]
-    return logits, pooled, cache
+        return np.concatenate(rows), labels, counts, None
+    feats, cache = nlroi_forward(
+        np.concatenate(rows), model.nlroi_params, model.nlroi_config, counts
+    )
+    return ops.global_avg_pool(feats), labels, counts, cache
 
 
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean CE over rows and the gradient d(mean CE)/d(logits)."""
+def head_logits(model: ToyModel, pooled: np.ndarray) -> np.ndarray:
+    """Per-RoI K-way logits; each row depends only on its own pooled row."""
+    return ops.matmul(pooled, model.w_head.T) + model.b_head[None, :]
+
+
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray, counts):
+    """Sum over scenes of each scene's mean CE, and its gradient w.r.t. the
+    logits; ``counts`` gives the rows of each scene, in order."""
     n = logits.shape[0]
+    rows_per_scene = np.repeat(np.asarray(counts, dtype=np.float64), counts)
     probs = ops.softmax_rows(logits)
     shifted = logits - np.max(logits, axis=1, keepdims=True)
     lse = np.log(np.sum(np.exp(shifted), axis=1))
     picked = shifted[np.arange(n), labels]
-    loss = float(np.mean(lse - picked))
+    loss = float(np.sum((lse - picked) / rows_per_scene))
     d_logits = probs.copy()
     d_logits[np.arange(n), labels] -= 1.0
-    return loss, d_logits / n
-
-
-def _scene_grads(model: ToyModel, scene: Scene):
-    """Loss and gradients for one scene (head always; operator if present)."""
-    logits, pooled, cache = model_logits(model, scene.features)
-    loss, d_logits = _cross_entropy(logits, scene.labels)
-    d_w_head = ops.matmul(d_logits.T, pooled)
-    d_b_head = np.sum(d_logits, axis=0)
-    d_pooled = ops.matmul(d_logits, model.w_head)
-    d_nlroi = None
-    if model.nlroi_config is not None:
-        (d_feats,) = ops.global_avg_pool_vjp(
-            np.empty(
-                (
-                    scene.features.shape[0],
-                    model.spec.d + model.nlroi_config.d_g,
-                    model.spec.h,
-                    model.spec.w,
-                )
-            ),
-            d_pooled,
-        )
-        _, d_nlroi = nlroi_backward(cache, model.nlroi_params, model.nlroi_config, d_feats)
-    return loss, d_w_head, d_b_head, d_nlroi
+    return loss, d_logits / rows_per_scene[:, None]
 
 
 @dataclass
@@ -244,7 +253,9 @@ def train(
 ):
     """SGD with momentum: v <- mu*v + (grad + wd*param), param <- param - lr*v.
 
-    Gradients average over the step's scenes in generation order. Returns
+    The loss and gradients average over the step's scenes, each scene's
+    loss being the mean CE over its RoIs. A step draws its scenes in order
+    and makes one forward and one backward over all of them. Returns
     (model, per-step losses). Raises DivergenceError on a non-finite loss.
     ``log_fn(step, loss)`` fires every ``log_every`` steps (1-based).
     """
@@ -264,18 +275,17 @@ def train(
 
     losses = []
     for step in range(1, hyper.steps + 1):
-        grads = {name: np.zeros_like(getattr(owner, name)) for name, owner in trainable}
-        step_loss = 0.0
-        for _ in range(hyper.scenes_per_step):
-            scene = generate_scene(prng, spec)
-            loss, d_w_head, d_b_head, d_nlroi = _scene_grads(model, scene)
-            step_loss += loss
-            grads["w_head"] += d_w_head
-            grads["b_head"] += d_b_head
-            if d_nlroi is not None:
-                for name, g in d_nlroi.tensors():
-                    grads[name] += g
-        step_loss /= hyper.scenes_per_step
+        pooled, labels, counts, cache = _head_inputs(model, prng, hyper.scenes_per_step)
+        loss, d_logits = _cross_entropy(head_logits(model, pooled), labels, counts)
+        grads = {"w_head": d_logits.T @ pooled, "b_head": np.sum(d_logits, axis=0)}
+        if cache is not None:
+            (d_feats,) = ops.global_avg_pool_vjp(
+                np.empty((pooled.shape[0], pooled.shape[1], spec.h, spec.w)),
+                d_logits @ model.w_head,
+            )
+            _, d_nlroi = nlroi_backward(cache, model.nlroi_params, model.nlroi_config, d_feats)
+            grads.update(d_nlroi.tensors())
+        step_loss = loss / hyper.scenes_per_step
         losses.append(step_loss)
         if not np.isfinite(step_loss):
             raise DivergenceError(step, step_loss)
@@ -290,14 +300,14 @@ def train(
 
 
 def evaluate(model: ToyModel, scenes: int, seed: int) -> float:
-    """Mean per-RoI accuracy over freshly generated scenes."""
+    """Mean per-RoI accuracy over freshly generated scenes, which go through
+    the model in chunks of a few scenes per call."""
     prng = Prng((seed ^ _EVAL_SEED_SALT) & _MASK64)
     correct = 0
     total = 0
-    for _ in range(scenes):
-        scene = generate_scene(prng, model.spec)
-        logits, _, _ = model_logits(model, scene.features)
-        preds = np.argmax(logits, axis=1)
-        correct += int(np.sum(preds == scene.labels))
-        total += scene.labels.size
+    for start in range(0, scenes, _EVAL_CHUNK):
+        pooled, labels, _, _ = _head_inputs(model, prng, min(_EVAL_CHUNK, scenes - start))
+        preds = np.argmax(head_logits(model, pooled), axis=1)
+        correct += int(np.sum(preds == labels))
+        total += labels.size
     return correct / total

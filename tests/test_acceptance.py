@@ -163,15 +163,15 @@ def test_scaling_mode_ratio(announce):
         x = prng.normals(n * 8 * 2 * 2).reshape(n, 8, 2, 2)
         _, c_pc = nlroi_forward(x, params, cfg_pc)
         _, c_ff = nlroi_forward(x, params, cfg_ff)
-        if not np.array_equal(c_pc.scores_raw, c_ff.scores_raw):
+        if not np.array_equal(c_pc.scores_raw[0][0], c_ff.scores_raw[0][0]):
             raw_mismatch += 1
         if not (
-            np.array_equal(c_pc.scores * cfg_pc.scale(), c_pc.scores_raw)
-            and np.array_equal(c_ff.scores * cfg_ff.scale(), c_ff.scores_raw)
+            np.array_equal(c_pc.scores[0][0] * cfg_pc.scale(), c_pc.scores_raw[0][0])
+            and np.array_equal(c_ff.scores[0][0] * cfg_ff.scale(), c_ff.scores_raw[0][0])
         ):
             ratio_exact = False
         if not np.array_equal(
-            np.argmax(c_pc.attention, axis=1), np.argmax(c_ff.attention, axis=1)
+            np.argmax(c_pc.attention[0][0], axis=1), np.argmax(c_ff.attention[0][0], axis=1)
         ):
             argmax_mismatch += 1
     ok = raw_mismatch == 0 and argmax_mismatch == 0 and ratio_exact

@@ -12,7 +12,7 @@ from nlroi.errors import (
     DimensionError,
     NumericalError,
 )
-from nlroi.gradcheck import rel_err
+from nlroi.gradcheck import finite_diff, rel_err
 from nlroi.operator import (
     NlRoiConfig,
     NlRoiParams,
@@ -213,7 +213,7 @@ class TestForward:
         x, params = random_case(21, 1, cfg)
         out, cache = nlroi_forward(x, params, cfg)
         assert np.array_equal(cache.y_vec[0], embed_g(x, params, cfg)[0])
-        assert np.array_equal(cache.attention, [[1.0]])
+        assert np.array_equal(cache.attention[0][0], [[1.0]])
 
     def test_first_channels_pass_through(self):
         cfg = small_config()
@@ -237,8 +237,8 @@ class TestForward:
             pi = prng.sample_indices(7, 7)
             out_p, cache_p = nlroi_forward(x[pi], params, cfg)
             assert np.array_equal(out_p, out[pi])
-            assert np.array_equal(cache_p.scores, cache.scores[np.ix_(pi, pi)])
-            assert np.array_equal(cache_p.attention, cache.attention[np.ix_(pi, pi)])
+            assert np.array_equal(cache_p.scores[0][0], cache.scores[0][0][np.ix_(pi, pi)])
+            assert np.array_equal(cache_p.attention[0][0], cache.attention[0][0][np.ix_(pi, pi)])
 
     def test_permutation_equivariance_bitwise_at_realistic_widths(self):
         for attend in (True, False):
@@ -273,7 +273,7 @@ class TestForward:
         _, params = random_case(24, 1, cfg)
         out, cache = nlroi_forward(np.zeros((0, 8, 3, 3)), params, cfg)
         assert out.shape == (0, 13, 3, 3)
-        assert cache.attention.shape == (0, 0)
+        assert cache.attention[0][0].shape == (0, 0)
 
     def test_masked_needs_two_rois(self):
         cfg = small_config(attend_to_self=False)
@@ -286,7 +286,7 @@ class TestForward:
             cfg = small_config(attend_to_self=seed % 2 == 0)
             x, params = random_case(seed, 5, cfg)
             _, cache = nlroi_forward(x, params, cfg)
-            p = cache.attention
+            p = cache.attention[0][0]
             assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12
             assert np.all(p >= 0.0) and np.all(p <= 1.0)
             if not cfg.attend_to_self:
@@ -319,9 +319,9 @@ class TestForward:
             x, params = random_case(seed, 6, cfg_pc)
             _, c1 = nlroi_forward(x, params, cfg_pc)
             _, c2 = nlroi_forward(x, params, cfg_ff)
-            assert np.array_equal(c1.scores_raw, c2.scores_raw)
+            assert np.array_equal(c1.scores_raw[0][0], c2.scores_raw[0][0])
             assert np.array_equal(
-                np.argmax(c1.attention, axis=1), np.argmax(c2.attention, axis=1)
+                np.argmax(c1.attention[0][0], axis=1), np.argmax(c2.attention[0][0], axis=1)
             )
 
 
@@ -408,6 +408,102 @@ class TestBackward:
         _, cache = nlroi_forward(x, params, cfg)
         with pytest.raises(DimensionError):
             nlroi_backward(cache, params, cfg, np.zeros((3, 8, 3, 3)))
+
+
+def scaled_err(a, b):
+    """Largest difference relative to the largest magnitude of b."""
+    if b.size == 0:
+        return 0.0
+    return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
+
+
+def split_rows(counts):
+    starts = np.concatenate([[0], np.cumsum(counts)]).astype(int)
+    return [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
+
+
+class TestMultiImage:
+    """Several images in one call: RoIs attend only within their image."""
+
+    CASES = (((8, 8, 8), True), ((3, 0, 1, 5, 2), True), ((2, 3, 2), False))
+
+    def test_per_image_outputs_bitwise(self):
+        for seed, (counts, attend) in enumerate(self.CASES):
+            cfg = small_config(attend_to_self=attend)
+            x, params = random_case(60 + seed, sum(counts), cfg)
+            out, cache = nlroi_forward(x, params, cfg, counts=counts)
+            assert out.shape == (sum(counts), 13, 3, 3)
+            for rows in split_rows(counts):
+                alone, alone_cache = nlroi_forward(x[rows], params, cfg)
+                assert out[rows].tobytes() == alone.tobytes()
+                assert cache.y_vec[rows].tobytes() == alone_cache.y_vec.tobytes()
+
+    def test_groups_stack_runs_of_equal_counts(self):
+        cfg = small_config()
+        x, params = random_case(63, 13, cfg)
+        _, cache = nlroi_forward(x, params, cfg, counts=[3, 3, 0, 2, 2, 3])
+        assert cache.groups == ((0, 2, 3), (6, 1, 0), (6, 2, 2), (10, 1, 3))
+        assert [a.shape for a in cache.attention] == [(2, 3, 3), (1, 0, 0), (2, 2, 2), (1, 3, 3)]
+
+    def test_masked_single_roi_image_raises(self):
+        cfg = small_config(attend_to_self=False)
+        x, params = random_case(64, 6, cfg)
+        with pytest.raises(DegenerateAttentionError, match="image 2"):
+            nlroi_forward(x, params, cfg, counts=(2, 3, 1))
+
+    def test_bad_counts_raise(self):
+        cfg = small_config()
+        x, params = random_case(65, 6, cfg)
+        for counts in ((2, 3), (2, 3, 2), (7, -1), (2.0, 4.0), [[2, 4]]):
+            with pytest.raises(DimensionError):
+                nlroi_forward(x, params, cfg, counts=counts)
+        with pytest.raises(DimensionError, match="image 1"):
+            nlroi_forward(x, params, cfg, counts=(7, -1))
+
+    def test_gradients_match_per_image_backwards(self):
+        for seed, (counts, attend) in enumerate(self.CASES):
+            cfg = small_config(attend_to_self=attend)
+            x, params = random_case(66 + seed, sum(counts), cfg)
+            up = Prng(70 + seed).normals(sum(counts) * 13 * 9).reshape(-1, 13, 3, 3)
+            _, cache = nlroi_forward(x, params, cfg, counts=counts)
+            dx, dparams = nlroi_backward(cache, params, cfg, up)
+            summed = NlRoiParams.zeros_like(params)
+            for rows in split_rows(counts):
+                _, alone = nlroi_forward(x[rows], params, cfg)
+                dx_alone, d_alone = nlroi_backward(alone, params, cfg, up[rows])
+                assert scaled_err(dx[rows], dx_alone) < 1e-12
+                for name, g in d_alone.tensors():
+                    setattr(summed, name, getattr(summed, name) + g)
+            # b_psi's exact gradient is zero (a row softmax ignores a per-row
+            # shift), so its computed value is rounding noise: every tensor is
+            # measured against the largest gradient of the call
+            scale = max(float(np.max(np.abs(g))) for _, g in summed.tensors())
+            for (name, got), (_, want) in zip(dparams.tensors(), summed.tensors()):
+                assert float(np.max(np.abs(got - want))) < 1e-12 * scale, name
+
+    def test_finite_differences_through_multi_image_call(self):
+        cfg = NlRoiConfig(d=6, d_f=3, d_mid=3, d_g=4, h=2, w=2, attend_to_self=False)
+        counts = (2, 0, 3, 2)
+        prng = Prng(67)
+        params = init_params(cfg, prng)
+        x = prng.normals(7 * 6 * 2 * 2).reshape(7, 6, 2, 2)
+        proj = 1e-6 * prng.normals(7 * 10 * 2 * 2).reshape(7, 10, 2, 2)
+        _, cache = nlroi_forward(x, params, cfg, counts=counts)
+        dx, dparams = nlroi_backward(cache, params, cfg, proj)
+
+        def loss(blob, p=params):
+            return np.sum(nlroi_forward(blob, p, cfg, counts=counts)[0] * proj)
+
+        assert float(np.max(rel_err(dx, finite_diff(loss, x, 1e-5)))) < 1e-6
+        for name, g in dparams.tensors():
+
+            def loss_of(t, name=name):
+                trial = params.copy()
+                setattr(trial, name, t)
+                return loss(x, trial)
+
+            numeric = finite_diff(loss_of, getattr(params, name), 1e-5)
+            assert float(np.max(rel_err(g, numeric))) < 1e-6, name
 
 
 class TestParamsContainer:

@@ -84,6 +84,19 @@ class TestMatmul:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             ops.matmul(np.zeros((2, 3)), np.zeros((4, 2)))
+        with pytest.raises(DimensionError):
+            ops.matmul(np.zeros((2, 2, 3)), np.zeros((3, 2)))
+        with pytest.raises(DimensionError):
+            ops.matmul(np.zeros((2, 2, 3)), np.zeros((1, 3, 2)))
+
+    def test_stack_equals_each_matrix_alone_bitwise(self):
+        prng = Prng(101)
+        a = prng.normals(4 * 5 * 7).reshape(4, 5, 7)
+        b = prng.normals(4 * 7 * 3).reshape(4, 7, 3)
+        stacked = ops.matmul(a, b)
+        for k in range(4):
+            assert stacked[k].tobytes() == ops.matmul(a[k], b[k]).tobytes()
+        assert ops.matmul(np.zeros((0, 2, 3)), np.zeros((0, 3, 4))).shape == (0, 2, 4)
 
 
 class TestConv1x1:
@@ -186,6 +199,18 @@ class TestSoftmaxRows:
             assert np.all(np.isfinite(out))
             assert np.all(out >= 0.0)
             assert np.max(np.abs(out.sum(axis=1) - 1.0)) <= 1e-12
+
+    def test_stack_equals_each_matrix_alone_bitwise(self):
+        prng = Prng(6)
+        s = prng.normals(5 * 4 * 4).reshape(5, 4, 4) * 30.0
+        for mask in (False, True):
+            stacked = ops.softmax_rows(s, mask_diagonal=mask)
+            for k in range(5):
+                alone = ops.softmax_rows(s[k], mask_diagonal=mask)
+                assert stacked[k].tobytes() == alone.tobytes()
+        assert np.array_equal(ops.sum_ascending_values(s)[2], ops.sum_ascending_values(s[2]))
+        with pytest.raises(DegenerateAttentionError):
+            ops.softmax_rows(np.zeros((3, 1, 1)), mask_diagonal=True)
 
     def test_row_shift_invariance(self):
         prng = Prng(5)
@@ -366,24 +391,6 @@ class TestVjps:
         dxc, dtc = ops.concat_channels_vjp(x, t, upc)
         assert max_rel(dxc, fd_grad(lambda u: np.sum(ops.concat_channels(u, t) * upc), x)) < 1e-6
         assert max_rel(dtc, fd_grad(lambda u: np.sum(ops.concat_channels(x, u) * upc), t)) < 1e-6
-
-    def test_dispatcher_routes_every_op(self):
-        prng = Prng(28)
-        a = prng.normals(6).reshape(2, 3)
-        b = prng.normals(6).reshape(3, 2)
-        up = prng.normals(4).reshape(2, 2)
-        direct = ops.matmul_vjp(a, b, up)
-        routed = ops.vjp("matmul", (a, b), up)
-        assert all(np.array_equal(d, r) for d, r in zip(direct, routed))
-
-        x = prng.normals(8).reshape(1, 2, 2, 2)
-        w = prng.normals(4).reshape(2, 2)
-        bias = prng.normals(2)
-        up4 = prng.normals(8).reshape(1, 2, 2, 2)
-        assert len(ops.vjp("conv2d_1x1", (x, w, bias), up4)) == 3
-
-        with pytest.raises(ValueError):
-            ops.vjp("not_an_op", (), np.zeros(1))
 
     def test_vjp_shape_mismatch_raises(self):
         with pytest.raises(DimensionError):

@@ -31,6 +31,14 @@ class TestStream:
             # both streams continue identically afterwards
             assert a.next_u64() == b.next_u64()
 
+    def test_raw_block_matches_scalar(self):
+        for seed in (0, 7, 2**63, 0xDEADBEEF, 2**64 - 1):
+            a = Prng(seed)
+            b = Prng(seed)
+            assert a.u64s(41).tolist() == [b.next_u64() for _ in range(41)]
+            assert a.next_u64() == b.next_u64()
+        assert Prng(3).u64s(0).size == 0
+
     def test_uniform_range_and_53bit_grid(self):
         u = Prng(3).uniforms(10000)
         assert np.all(u >= 0.0) and np.all(u < 1.0)
@@ -79,4 +87,24 @@ class TestDerivedDraws:
         a = Prng(6)
         b = Prng(6)
         a.uniforms(0)
+        a.u64s(0)
+        a.sample_indices(4, 0)
         assert a.next_u64() == b.next_u64()
+
+    def test_sample_indices_match_scalar_shuffle(self):
+        """The block draw gives the swaps that one randint(n - i) per swap
+        gave, and leaves the stream where that loop left it."""
+
+        def loop(prng, n, k):
+            pool = list(range(n))
+            for i in range(k):
+                j = i + prng.randint(n - i)
+                pool[i], pool[j] = pool[j], pool[i]
+            return pool[:k]
+
+        for seed in range(50):
+            for n, k in ((1, 1), (2, 2), (3, 2), (8, 5), (1024, 615), (1024, 1024)):
+                a = Prng(seed * 1000 + n)
+                b = Prng(seed * 1000 + n)
+                assert a.sample_indices(n, k) == loop(b, n, k)
+                assert a.next_u64() == b.next_u64()

@@ -5,18 +5,20 @@ import math
 import numpy as np
 import pytest
 
+from nlroi import ops
 from nlroi.errors import ConfigError, DivergenceError
-from nlroi.operator import NlRoiConfig
+from nlroi.operator import NlRoiConfig, nlroi_backward, nlroi_forward
 from nlroi.rng import Prng
 from nlroi.toytask import (
     Hyper,
+    Scene,
     SceneSpec,
     baseline_ceiling,
     evaluate,
     generate_scene,
     init_model,
     majority_count,
-    model_logits,
+    head_logits,
     train,
 )
 
@@ -89,6 +91,120 @@ class TestGenerateScene:
         assert np.array_equal(a.latent_classes, b.latent_classes)
 
 
+def scene_by_loops(prng, spec):
+    """The scene generator as one scalar draw per RoI, frozen as reference."""
+    n, k, d = spec.n, spec.k, spec.d
+    m = majority_count(n)
+    majority = prng.randint(k)
+    slots = set(prng.sample_indices(n, m))
+    latent = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        if i in slots:
+            latent[i] = majority
+        else:
+            r = prng.randint(k - 1)
+            latent[i] = r if r < majority else r + 1
+    base = spec.sigma * prng.normals(n * d).reshape(n, d)
+    for i in range(n):
+        base[i, latent[i]] += 1.0
+    features = np.broadcast_to(base[:, :, None, None], (n, d, spec.h, spec.w)).copy()
+    return Scene(features, latent, majority, np.full(n, majority, dtype=np.int64))
+
+
+class TestSceneDraws:
+    def test_matches_scalar_loops_bitwise(self):
+        for n in (2, 3, 8, 1024):
+            for k in (2, 3, 4):
+                spec = SceneSpec(n=n, k=k, d=6, h=2, w=1)
+                for seed in range(25 if n < 1024 else 4):
+                    a = Prng(seed * 31 + n)
+                    b = Prng(seed * 31 + n)
+                    for _ in range(3):
+                        got = generate_scene(a, spec)
+                        want = scene_by_loops(b, spec)
+                        assert got.features.tobytes() == want.features.tobytes()
+                        assert got.latent_classes.tobytes() == want.latent_classes.tobytes()
+                        assert got.majority_class == want.majority_class
+                        assert got.labels.tobytes() == want.labels.tobytes()
+                        assert a.next_u64() == b.next_u64()
+
+
+def train_per_scene(variant, hyper, seed):
+    """The trainer as one forward and backward per scene, frozen as reference."""
+    prng = Prng(seed)
+    model = init_model(SPEC, OP if variant == "nlroi" else None, prng)
+    trainable = [("w_head", model), ("b_head", model)]
+    if model.nlroi_params is not None:
+        trainable += [(name, model.nlroi_params) for name, _ in model.nlroi_params.tensors()]
+    velocity = {name: np.zeros_like(getattr(owner, name)) for name, owner in trainable}
+    losses = []
+    for _ in range(hyper.steps):
+        grads = {name: np.zeros_like(getattr(owner, name)) for name, owner in trainable}
+        step_loss = 0.0
+        for _ in range(hyper.scenes_per_step):
+            scene = generate_scene(prng, SPEC)
+            feats, cache = scene.features, None
+            if model.nlroi_params is not None:
+                feats, cache = nlroi_forward(feats, model.nlroi_params, OP)
+            pooled = ops.global_avg_pool(feats)
+            logits = ops.matmul(pooled, model.w_head.T) + model.b_head
+            n = logits.shape[0]
+            shifted = logits - np.max(logits, axis=1, keepdims=True)
+            lse = np.log(np.sum(np.exp(shifted), axis=1))
+            step_loss += float(np.mean(lse - shifted[np.arange(n), scene.labels]))
+            d_logits = ops.softmax_rows(logits)
+            d_logits[np.arange(n), scene.labels] -= 1.0
+            d_logits /= n
+            grads["w_head"] += ops.matmul(d_logits.T, pooled)
+            grads["b_head"] += np.sum(d_logits, axis=0)
+            if cache is not None:
+                (d_feats,) = ops.global_avg_pool_vjp(feats, ops.matmul(d_logits, model.w_head))
+                _, d_params = nlroi_backward(cache, model.nlroi_params, OP, d_feats)
+                for name, g in d_params.tensors():
+                    grads[name] += g
+        losses.append(step_loss / hyper.scenes_per_step)
+        for name, owner in trainable:
+            param = getattr(owner, name)
+            g = grads[name] / hyper.scenes_per_step + hyper.weight_decay * param
+            velocity[name] = hyper.momentum * velocity[name] + g
+            setattr(owner, name, param - hyper.learning_rate * velocity[name])
+    return model, losses
+
+
+def model_tensors(model):
+    named = [("w_head", model.w_head), ("b_head", model.b_head)]
+    return named + (model.nlroi_params.tensors() if model.nlroi_params else [])
+
+
+class TestBatchedSteps:
+    """One call per step gives what one call per scene gave."""
+
+    def test_train_matches_per_scene_loop(self):
+        hyper = Hyper(steps=20)
+        for variant in ("nlroi", "baseline"):
+            model, losses = train(variant, SPEC, OP, hyper, seed=95)
+            ref_model, ref_losses = train_per_scene(variant, hyper, seed=95)
+            assert np.max(np.abs(np.subtract(losses, ref_losses)) / np.abs(ref_losses)) < 1e-12
+            for (name, got), (_, want) in zip(model_tensors(model), model_tensors(ref_model)):
+                assert np.max(np.abs(got - want)) < 1e-10, (variant, name)
+
+    def test_evaluate_matches_per_scene_accuracy(self):
+        model, _ = train("nlroi", SPEC, OP, Hyper(steps=20), seed=96)
+        for variant_model in (model, init_model(SPEC, None, Prng(97))):
+            for scenes in (1, 8, 13):
+                prng = Prng((98 ^ 0xD1B54A32D192ED03) & ((1 << 64) - 1))
+                correct = 0
+                for _ in range(scenes):
+                    scene = generate_scene(prng, SPEC)
+                    feats = scene.features
+                    if variant_model.nlroi_params is not None:
+                        feats, _ = nlroi_forward(feats, variant_model.nlroi_params, OP)
+                    logits = ops.matmul(ops.global_avg_pool(feats), variant_model.w_head.T)
+                    preds = np.argmax(logits + variant_model.b_head, axis=1)
+                    correct += int(np.sum(preds == scene.labels))
+                assert evaluate(variant_model, scenes, seed=98) == correct / (scenes * 8)
+
+
 class TestBaselineCeiling:
     def test_standard_setting_near_three_quarters(self):
         # closed form: 5/8 + (3/8)/3 = 0.75
@@ -112,7 +228,8 @@ class TestModel:
     def test_untrained_head_uniform_logits(self):
         model = init_model(SPEC, OP, Prng(70))
         scene = generate_scene(Prng(71), SPEC)
-        logits, _, _ = model_logits(model, scene.features)
+        out, _ = nlroi_forward(scene.features, model.nlroi_params, OP)
+        logits = head_logits(model, ops.global_avg_pool(out))
         assert np.array_equal(logits, np.zeros((8, 4)))
 
     def test_untrained_accuracy_near_chance(self):
