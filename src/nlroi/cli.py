@@ -178,13 +178,18 @@ def _cmd_oracle_diff(args) -> int:
 
     cfg = _load_config(args)
     prng = Prng(_seed(args, cfg))
-    worst = 0.0
+    worst, where = 0.0, None
     for i in range(args.count):
         x, params, config = _random_oracle_case(prng, i)
         out, _ = nlroi_forward(x, params, config)
-        ref = nlroi_reference(x, params, config)
-        diff = float(np.max(np.abs(out - ref))) if out.size else 0.0
-        worst = max(worst, diff)
+        diff = np.abs(out - nlroi_reference(x, params, config))
+        if diff.size and (where is None or diff.max() > worst):
+            at = np.unravel_index(np.argmax(diff), diff.shape)
+            worst, where = float(diff[at]), (i, config, x.shape[0], tuple(map(int, at)))
+    if where is not None:
+        i, config, n, at = where
+        print(f"worst case {i}: n={n} {config}; largest |diff| at output index {at}",
+              file=sys.stderr)
     print(f"{worst:.6e}")
     return 0 if worst < ORACLE_TOL else 1
 

@@ -241,29 +241,14 @@ def relation_scores(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig) -> 
     return raw / config.scale()
 
 
-def attention_weights(
-    s: np.ndarray, attend_to_self: bool, literal_zero_diag: bool = False
-) -> np.ndarray:
+def attention_weights(s: np.ndarray, attend_to_self: bool) -> np.ndarray:
     """Row softmax of the score matrix, optionally excluding each RoI's self.
 
     ``s`` is one (n, n) matrix or a stack (images, n, n). With
     attend_to_self false the diagonal receives exactly zero weight (scores
-    treated as -inf, rows renormalized over the rest). The
-    ``literal_zero_diag`` debug switch (one matrix only) instead overwrites
-    diagonal scores with literal 0.0 before a plain softmax, so the self
-    entry keeps weight exp(0); it exists only to quantify how much that
-    reading differs.
+    treated as -inf, rows renormalized over the rest).
     """
-    if attend_to_self:
-        return ops.softmax_rows(s, mask_diagonal=False)
-    if literal_zero_diag:
-        s = np.asarray(s, dtype=np.float64)
-        if s.ndim != 2 or s.shape[0] != s.shape[1]:
-            raise DimensionError(f"diagonal masking needs a square matrix, got {s.shape}")
-        work = s.copy()
-        np.fill_diagonal(work, 0.0)
-        return ops.softmax_rows(work, mask_diagonal=False)
-    return ops.softmax_rows(s, mask_diagonal=True)
+    return ops.softmax_rows(s, mask_diagonal=not attend_to_self)
 
 
 def embed_g(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig) -> np.ndarray:

@@ -252,15 +252,6 @@ def softmax_rows(s: np.ndarray, mask_diagonal: bool = False) -> np.ndarray:
     return e / totals[..., None]
 
 
-def softmax_rows_vjp(s: np.ndarray, mask_diagonal: bool, d_out: np.ndarray):
-    if d_out.shape != s.shape:
-        raise DimensionError(
-            f"softmax upstream gradient {d_out.shape}, expected {s.shape}"
-        )
-    p = softmax_rows(s, mask_diagonal)
-    return (softmax_vjp_from_probs(p, d_out),)
-
-
 def softmax_vjp_from_probs(p: np.ndarray, d_p: np.ndarray) -> np.ndarray:
     """Softmax backward given the forward probabilities.
 

@@ -5,7 +5,9 @@ The generator is counter-based: output k is a fixed bit mix of
 produced with vectorized integer arithmetic while remaining bit-identical
 to stepping the generator one value at a time. Uniform doubles come from
 the top 53 bits of each 64-bit output, giving values in [0, 1) that are
-exactly reproducible on any platform.
+exactly reproducible on any platform, and normals from pairs of uniforms
+by Box-Muller. Both transforms are module functions, so a caller can take
+one block of raw outputs and split it between several uses.
 """
 
 from __future__ import annotations
@@ -30,6 +32,31 @@ def _mix_array(z: np.ndarray) -> np.ndarray:
     z *= _U64[_MIX2]
     z ^= z >> _U64[31]
     return z
+
+
+def raw_to_uniforms(raw: np.ndarray) -> np.ndarray:
+    """Doubles in [0, 1) from the top 53 bits of raw outputs.
+
+    Shifts ``raw`` in place: callers pass a block they are done with, so a
+    large draw never holds the raw block, its shifted copy and the result
+    at once.
+    """
+    raw >>= np.uint64(11)
+    return raw * _TWO53_INV
+
+
+def uniforms_to_normals(u: np.ndarray) -> np.ndarray:
+    """Standard normal deviates via Box-Muller, one per pair of consecutive
+    uniforms along the last axis (which must have even length)."""
+    # 1 - u[..., 0::2] lies in (0, 1], keeping the log argument strictly positive.
+    r = 1.0 - u[..., 0::2]
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    angle = 2.0 * np.pi * u[..., 1::2]
+    np.cos(angle, out=angle)
+    r *= angle
+    return r
 
 
 class Prng:
@@ -59,24 +86,14 @@ class Prng:
 
     def uniforms(self, count: int) -> np.ndarray:
         """`count` uniform doubles, bit-identical to calling uniform() in a loop."""
-        if count == 0:
-            return np.zeros(0)
-        return (self.u64s(count) >> np.uint64(11)).astype(np.float64) * _TWO53_INV
-
-    def uniform_in(self, lo: float, hi: float) -> float:
-        return lo + self.uniform() * (hi - lo)
+        return raw_to_uniforms(self.u64s(count))
 
     def uniforms_in(self, count: int, lo: float, hi: float) -> np.ndarray:
         return lo + self.uniforms(count) * (hi - lo)
 
     def normals(self, count: int) -> np.ndarray:
         """Standard normal deviates via Box-Muller; consumes 2 uniforms each."""
-        u = self.uniforms(2 * count)
-        u1 = u[0::2]
-        u2 = u[1::2]
-        # 1 - u1 lies in (0, 1], keeping the log argument strictly positive.
-        r = np.sqrt(-2.0 * np.log(1.0 - u1))
-        return r * np.cos(2.0 * np.pi * u2)
+        return uniforms_to_normals(self.uniforms(2 * count))
 
     def normal(self) -> float:
         return float(self.normals(1)[0])
@@ -91,19 +108,22 @@ class Prng:
         """k distinct indices from range(n) via a partial Fisher-Yates shuffle."""
         if not 0 <= k <= n:
             raise ValueError(f"cannot sample {k} indices from range({n})")
-        return partial_shuffle(n, self.u64s(k))
+        return partial_shuffle(n, self.u64s(k)[None])[0]
 
 
-def partial_shuffle(n: int, draws: np.ndarray) -> list[int]:
-    """The first len(draws) entries of a Fisher-Yates shuffle of range(n).
+def partial_shuffle(n: int, draws: np.ndarray) -> list[list[int]]:
+    """The first k entries of a Fisher-Yates shuffle of range(n), one
+    shuffle per row of the (rows, k) array of raw outputs ``draws``.
 
-    Swap i exchanges entry i with entry i + draws[i] % (n - i), the value
+    Swap i exchanges entry i with entry i + draws[., i] % (n - i), the value
     randint(n - i) gives for the same output.
     """
-    k = len(draws)
-    offsets = (draws % (n - np.arange(k, dtype=np.uint64))).tolist()
-    pool = list(range(n))
-    for i, offset in enumerate(offsets):
-        j = i + offset
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool[:k]
+    k = draws.shape[1]
+    picks = []
+    for offsets in (draws % (n - np.arange(k, dtype=np.uint64))).tolist():
+        pool = list(range(n))
+        for i, offset in enumerate(offsets):
+            j = i + offset
+            pool[i], pool[j] = pool[j], pool[i]
+        picks.append(pool[:k])
+    return picks

@@ -15,12 +15,13 @@ realizable per-RoI classifier does worse). ``train`` fits either variant
 with SGD + momentum and weight decay; ``evaluate`` measures per-RoI
 accuracy on freshly drawn scenes.
 
-Scenes are drawn one at a time, but a training step (and each chunk of
-evaluation scenes) goes through the model in one call: the nlroi variant
-concatenates the scenes' RoIs into one blob and makes one operator forward
-and one backward, with each scene as a separate image, so RoIs attend only
-within their own scene. The baseline variant pools each scene as it is
-drawn and keeps only the pooled rows.
+A training step (and each chunk of evaluation scenes) draws its scenes
+from one block of PRNG outputs, which gives exactly the scenes that one
+``generate_scene`` call per scene gives, and goes through the model in one
+call: the nlroi variant puts the scenes' RoIs into one blob and makes one
+operator forward and one backward, with each scene as a separate image, so
+RoIs attend only within their own scene. The baseline variant takes each
+RoI's noisy one-hot row as its pooled row and never builds the blob.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .operator import (
     nlroi_backward,
     nlroi_forward,
 )
-from .rng import Prng, partial_shuffle
+from .rng import Prng, partial_shuffle, raw_to_uniforms, uniforms_to_normals
 
 # Evaluation draws scenes from a salted seed so that passing the training
 # seed to evaluate() never replays the exact scenes seen during training.
@@ -82,32 +83,48 @@ class SceneSpec:
             raise ConfigError(f"classification needs at least 2 classes, got k={self.k}")
 
 
-def generate_scene(prng: Prng, spec: SceneSpec) -> Scene:
-    """Draw one scene. PRNG order: majority class, majority slots, minority
-    latents (ascending RoI index), then one noise value per (RoI, channel),
-    replicated across the H x W positions.
+def _draw_scenes(prng: Prng, spec: SceneSpec, count: int):
+    """Draw ``count`` scenes from one block of raw PRNG outputs.
 
-    The first three come from one block of n + 1 raw outputs, with the
-    values randint(k), sample_indices(n, m) and one randint(k - 1) per
-    minority RoI would take from the same outputs.
+    Returns each RoI's noisy one-hot row, (count * N, D), its latent class
+    and its label, scene after scene. Per scene the block holds n + 1
+    outputs, for the majority class (randint(k)), the majority slots
+    (sample_indices(n, m)) and one randint(k - 1) per minority RoI in
+    ascending index, then 2 * n * d outputs for one normal per (RoI,
+    channel). These are the outputs, and the values, that those draws
+    would take one call at a time, so the stream does not depend on how
+    many scenes one call draws.
     """
     n, k, d = spec.n, spec.k, spec.d
     m = majority_count(n)
-    draws = prng.u64s(n + 1)
-    majority = int(draws[0] % np.uint64(k))
-    minority = np.ones(n, dtype=bool)
-    minority[partial_shuffle(n, draws[1 : m + 1])] = False
-    r = (draws[m + 1 :] % np.uint64(k - 1)).astype(np.int64)
-    latent = np.full(n, majority, dtype=np.int64)
-    latent[minority] = r + (r >= majority)
-    base = spec.sigma * prng.normals(n * d).reshape(n, d)
-    base[np.arange(n), latent] += 1.0
-    features = np.broadcast_to(base[:, :, None, None], (n, d, spec.h, spec.w)).copy()
+    block = prng.u64s(count * (n + 1 + 2 * n * d)).reshape(count, -1)
+    majority = (block[:, 0] % np.uint64(k)).astype(np.int64)
+    member = np.zeros((count, n), dtype=bool)
+    member[np.arange(count)[:, None], partial_shuffle(n, block[:, 1 : m + 1])] = True
+    r = (block[:, m + 1 : n + 1] % np.uint64(k - 1)).astype(np.int64)
+    latent = np.repeat(majority[:, None], n, axis=1)
+    latent[~member] = (r + (r >= majority[:, None])).reshape(-1)
+    latent = latent.reshape(-1)
+    noise = uniforms_to_normals(raw_to_uniforms(block[:, n + 1 :]))
+    rows = spec.sigma * noise.reshape(count * n, d)
+    rows[np.arange(count * n), latent] += 1.0
+    return rows, latent, np.repeat(majority, n)
+
+
+def _replicate(rows: np.ndarray, spec: SceneSpec) -> np.ndarray:
+    """Each (D,) row copied to every H x W position: (R, D) -> (R, D, H, W)."""
+    return np.repeat(rows, spec.h * spec.w, axis=1).reshape(-1, spec.d, spec.h, spec.w)
+
+
+def generate_scene(prng: Prng, spec: SceneSpec) -> Scene:
+    """Draw one scene: the one-scene case of the block draw above, with
+    each RoI's row replicated across the H x W positions."""
+    rows, latent, labels = _draw_scenes(prng, spec, 1)
     return Scene(
-        features=features,
+        features=_replicate(rows, spec),
         latent_classes=latent,
-        majority_class=majority,
-        labels=np.full(n, majority, dtype=np.int64),
+        majority_class=int(labels[0]),
+        labels=labels,
     )
 
 
@@ -182,27 +199,23 @@ def init_model(
 
 
 def _head_inputs(model: ToyModel, prng: Prng, scenes: int):
-    """Draw ``scenes`` scenes one at a time and compute the head's input rows.
+    """Draw ``scenes`` scenes in one block and compute the head's input rows.
 
-    The nlroi variant runs all the scenes' RoIs through one operator
-    forward, one image per scene, and pools its output; the baseline pools
-    each scene as it is drawn and never holds more than one scene's blob.
-    Returns (pooled rows, labels, RoIs per scene, operator cache or None).
+    The nlroi variant replicates the rows over H x W once and runs all the
+    scenes' RoIs through one operator forward, one image per scene, then
+    pools its output. The baseline uses the rows themselves: pooling a
+    replicated map gives back its value bit for bit, except that a -0.0
+    map pools to +0.0 once a second position is added, which ``+ 0.0``
+    reproduces. Returns (pooled rows, labels, RoIs per scene, operator
+    cache or None).
     """
-    rows, labels = [], []
-    for _ in range(scenes):
-        scene = generate_scene(prng, model.spec)
-        if model.nlroi_config is None:
-            rows.append(ops.global_avg_pool(scene.features))
-        else:
-            rows.append(scene.features)
-        labels.append(scene.labels)
-    counts = [len(l) for l in labels]
-    labels = np.concatenate(labels)
+    spec = model.spec
+    rows, _, labels = _draw_scenes(prng, spec, scenes)
+    counts = [spec.n] * scenes
     if model.nlroi_config is None:
-        return np.concatenate(rows), labels, counts, None
+        return (rows + 0.0 if spec.h * spec.w > 1 else rows), labels, counts, None
     feats, cache = nlroi_forward(
-        np.concatenate(rows), model.nlroi_params, model.nlroi_config, counts
+        _replicate(rows, spec), model.nlroi_params, model.nlroi_config, counts
     )
     return ops.global_avg_pool(feats), labels, counts, cache
 

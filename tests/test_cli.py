@@ -60,6 +60,26 @@ class TestOracleDiffCommand:
         value = float(captured.out.strip())
         assert 0.0 <= value < 1e-9
 
+    def test_worst_case_named_on_stderr(self, capsys):
+        from nlroi.cli import _random_oracle_case
+        from nlroi.operator import nlroi_forward, nlroi_reference
+        from nlroi.rng import Prng
+
+        rc = main(["oracle-diff", "--seed", "5", "--count", "12"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        worst = float(captured.out)  # stdout stays the one number
+        line = captured.err.strip()
+        assert line.startswith("worst case ") and "NlRoiConfig(" in line
+        case = int(line.split()[2].rstrip(":"))
+        at = tuple(int(v) for v in line.split("output index (")[1].rstrip(")").split(","))
+        prng = Prng(5)
+        cases = [_random_oracle_case(prng, i) for i in range(case + 1)]
+        x, params, config = cases[case]
+        assert f"n={x.shape[0]} {config}" in line
+        diff = np.abs(nlroi_forward(x, params, config)[0] - nlroi_reference(x, params, config))
+        assert diff[at] == diff.max() and f"{diff[at]:.6e}" == f"{worst:.6e}"
+
 
 class TestBenchCommand:
     def test_csv_to_stdout(self, capsys, monkeypatch):

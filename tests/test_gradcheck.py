@@ -1,5 +1,7 @@
 """Finite-difference machinery and the full gradient check."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,14 @@ from nlroi.gradcheck import (
     rel_err,
     summary_line,
 )
-from nlroi.operator import NlRoiConfig, Scaling
+from nlroi.operator import (
+    NlRoiConfig,
+    NlRoiParams,
+    Scaling,
+    nlroi_backward,
+    nlroi_forward,
+)
+from nlroi.rng import Prng
 
 
 class TestFiniteDiff:
@@ -95,6 +104,61 @@ class TestCheckAllGradients:
         a = check_all_gradients(cfg, seed=16, n=3)
         b = check_all_gradients(cfg, seed=16, n=3)
         assert a.max_rel_err == b.max_rel_err
+
+
+def random_blob_and_params(seed, n, config, x_scale):
+    prng = Prng(seed)
+    x = x_scale * prng.normals(n * config.d * config.h * config.w).reshape(
+        n, config.d, config.h, config.w
+    )
+    params = NlRoiParams(**{
+        name: 0.5 * prng.normals(int(np.prod(shape))).reshape(shape)
+        for name, shape in NlRoiParams.shapes(config).items()
+    })
+    return x, params
+
+
+class TestOneHotRows:
+    """Attention rows that are one-hot, exactly or nearly."""
+
+    CFG = NlRoiConfig(d=6, d_f=3, d_mid=3, d_g=4, h=2, w=2, attend_to_self=False)
+
+    def test_two_masked_rois_have_exactly_zero_score_gradients(self):
+        # each RoI can attend only to the other, so its row is exactly
+        # one-hot whatever the scores, and phi/psi cannot move the output
+        for seed in range(5):
+            x, params = random_blob_and_params(40 + seed, 2, self.CFG, 1.0)
+            out, cache = nlroi_forward(x, params, self.CFG)
+            assert np.array_equal(cache.attention[0][0], [[0.0, 1.0], [1.0, 0.0]])
+            up = Prng(50 + seed).normals(out.size).reshape(out.shape)
+            _, grads = nlroi_backward(cache, params, self.CFG, up)
+            for name in ("w_phi", "b_phi", "w_psi", "b_psi"):
+                assert np.array_equal(getattr(grads, name), np.zeros_like(getattr(params, name))), name
+            report = check_all_gradients(self.CFG, seed=60 + seed, n=2)
+            assert report.passed, format_report(report)
+
+    def test_saturated_score_rows(self):
+        # a large-magnitude blob drives every softmax row to within 1e-9 of
+        # one-hot (three of the four exactly); the phi/psi gradients shrink
+        # to about 1e-13, under rel_err's floor, while the g-branch and x
+        # gradients keep their size, and every one must still match FD
+        x, params = random_blob_and_params(31, 4, self.CFG, 12.0)
+        out, cache = nlroi_forward(x, params, self.CFG)
+        rows = cache.attention[0][0]
+        assert np.min(np.max(rows, axis=1)) > 1.0 - 1e-9
+        proj = 1e-6 * Prng(32).normals(out.size).reshape(out.shape)
+        d_x, grads = nlroi_backward(cache, params, self.CFG, proj)
+
+        def loss(blob, trial):
+            return np.sum(nlroi_forward(blob, trial, self.CFG)[0] * proj)
+
+        assert np.max(rel_err(d_x, finite_diff(lambda v: loss(v, params), x, 1e-5))) < 1e-6
+        for name in NlRoiParams.shapes(self.CFG):
+            numeric = finite_diff(
+                lambda v: loss(x, dataclasses.replace(params, **{name: v})),
+                getattr(params, name), 1e-5,
+            )
+            assert np.max(rel_err(getattr(grads, name), numeric)) < 1e-6, name
 
 
 class TestReporting:

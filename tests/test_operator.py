@@ -164,18 +164,6 @@ class TestAttentionWeights:
         with pytest.raises(DegenerateAttentionError):
             attention_weights(np.zeros((1, 1)), attend_to_self=False)
 
-    def test_literal_zero_diag_debug_mode(self):
-        """The debug reading keeps weight exp(0) on the diagonal instead of
-        removing it; both modes coincide when the diagonal score is 0."""
-        prng = Prng(17)
-        s = prng.normals(9).reshape(3, 3)
-        debug = attention_weights(s, attend_to_self=False, literal_zero_diag=True)
-        assert np.all(np.diag(debug) > 0.0)
-        assert np.max(np.abs(debug.sum(axis=1) - 1.0)) <= 1e-12
-        zeroed = s.copy()
-        np.fill_diagonal(zeroed, 0.0)
-        assert np.array_equal(debug, attention_weights(zeroed, attend_to_self=True))
-
 
 class TestEmbedG:
     def test_zero_input_zero_biases(self):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nlroi import ops
+from nlroi import ops, toytask
 from nlroi.errors import ConfigError, DivergenceError
 from nlroi.operator import NlRoiConfig, nlroi_backward, nlroi_forward
 from nlroi.rng import Prng
@@ -13,6 +13,8 @@ from nlroi.toytask import (
     Hyper,
     Scene,
     SceneSpec,
+    _draw_scenes,
+    _head_inputs,
     baseline_ceiling,
     evaluate,
     generate_scene,
@@ -129,6 +131,68 @@ class TestSceneDraws:
                         assert a.next_u64() == b.next_u64()
 
 
+class TestBlockDraw:
+    """Many scenes from one PRNG block are the scenes one call each gives."""
+
+    def test_matches_one_generate_scene_per_scene(self):
+        for n in (2, 3, 8, 1024):
+            spec = SceneSpec(n=n, k=3, d=5, h=2, w=3)
+            for count in (1, 3, 8):
+                for seed in range(6 if n < 1024 else 2):
+                    a = Prng(seed * 17 + n + count)
+                    b = Prng(seed * 17 + n + count)
+                    rows, latent, labels = _draw_scenes(a, spec, count)
+                    scenes = [generate_scene(b, spec) for _ in range(count)]
+                    want = np.concatenate([s.features for s in scenes])
+                    assert np.repeat(rows, spec.h * spec.w, axis=1).tobytes() == want.tobytes()
+                    assert rows.shape == (count * n, 5)
+                    assert latent.tobytes() == np.concatenate(
+                        [s.latent_classes for s in scenes]).tobytes()
+                    assert labels.tobytes() == np.concatenate(
+                        [s.labels for s in scenes]).tobytes()
+                    assert a.next_u64() == b.next_u64()
+
+    def test_baseline_rows_equal_pooled_features(self):
+        # the reference pools each scene's features with ops.global_avg_pool,
+        # as the baseline did before it stopped building them; sigma=0 gives
+        # -0.0 entries, which pool to +0.0 when H*W > 1 and stay -0.0 at 1x1
+        for h, w in ((1, 1), (1, 2), (3, 3), (3, 5)):
+            for sigma in (0.1, 0.0):
+                spec = SceneSpec(n=8, k=4, d=6, h=h, w=w, sigma=sigma)
+                model = init_model(spec, None, Prng(3))
+                for count in (1, 8):
+                    a, b = Prng(77 + count), Prng(77 + count)
+                    pooled, labels, counts, cache = _head_inputs(model, a, count)
+                    want = np.concatenate([
+                        ops.global_avg_pool(generate_scene(b, spec).features)
+                        for _ in range(count)])
+                    assert pooled.tobytes() == want.tobytes(), (h, w, sigma)
+                    assert counts == [8] * count and cache is None
+                    assert a.next_u64() == b.next_u64()
+        # sigma=0 rows do hold -0.0 entries, so that case is exercised
+        assert np.signbit(_draw_scenes(Prng(5), SceneSpec(8, 4, 6, 3, 3, 0.0), 1)[0]).any()
+
+
+def head_inputs_per_scene(model, prng, scenes):
+    """The step's inputs with one generate_scene per scene, frozen as reference."""
+    rows, labels = [], []
+    for _ in range(scenes):
+        scene = generate_scene(prng, model.spec)
+        if model.nlroi_config is None:
+            rows.append(ops.global_avg_pool(scene.features))
+        else:
+            rows.append(scene.features)
+        labels.append(scene.labels)
+    counts = [len(l) for l in labels]
+    labels = np.concatenate(labels)
+    if model.nlroi_config is None:
+        return np.concatenate(rows), labels, counts, None
+    feats, cache = nlroi_forward(
+        np.concatenate(rows), model.nlroi_params, model.nlroi_config, counts
+    )
+    return ops.global_avg_pool(feats), labels, counts, cache
+
+
 def train_per_scene(variant, hyper, seed):
     """The trainer as one forward and backward per scene, frozen as reference."""
     prng = Prng(seed)
@@ -203,6 +267,26 @@ class TestBatchedSteps:
                     preds = np.argmax(logits + variant_model.b_head, axis=1)
                     correct += int(np.sum(preds == scene.labels))
                 assert evaluate(variant_model, scenes, seed=98) == correct / (scenes * 8)
+
+
+class TestBlockDrawnSteps:
+    """Training and evaluation are bit for bit what one scene draw each gave."""
+
+    def test_train_and_evaluate_match_per_scene_draws(self, monkeypatch):
+        runs = {}
+        for route in ("block", "per_scene"):
+            if route == "per_scene":
+                monkeypatch.setattr(toytask, "_head_inputs", head_inputs_per_scene)
+            for variant in ("nlroi", "baseline"):
+                model, losses = train(variant, SPEC, OP, Hyper(steps=15, scenes_per_step=3), 99)
+                accs = [evaluate(model, scenes, seed=100) for scenes in (1, 8, 13)]
+                runs[route, variant] = (
+                    np.asarray(losses).tobytes(),
+                    [t.tobytes() for _, t in model_tensors(model)],
+                    accs,
+                )
+        for variant in ("nlroi", "baseline"):
+            assert runs["block", variant] == runs["per_scene", variant], variant
 
 
 class TestBaselineCeiling:
