@@ -22,12 +22,10 @@ from .operator import (
     NlRoiParams,
     Scaling,
     attention_weights,
-    embed_g,
     init_params,
     nlroi_backward,
     nlroi_forward,
     nlroi_reference,
-    relation_scores,
 )
 from .rng import Prng
 from .toytask import (
@@ -71,7 +69,6 @@ __all__ = [
     "attention_weights",
     "baseline_ceiling",
     "check_all_gradients",
-    "embed_g",
     "evaluate",
     "finite_diff",
     "fit_scaling_exponent",
@@ -83,7 +80,6 @@ __all__ = [
     "nlroi_forward",
     "nlroi_reference",
     "parse_config",
-    "relation_scores",
     "run_bench",
     "save_weights",
     "train",

@@ -7,9 +7,10 @@ attends to every RoI through an embedded-Gaussian affinity
 
 where phi and psi are learned 1x1 convolutions to D_f channels. The
 normalized weights mix per-RoI embeddings g(x_j) (1x1 conv, ReLU, 3x3 conv,
-global average pool, giving a D_g vector per RoI). The mixed vector is tiled
-back to H x W and appended to the input channels, so the output blob has
-shape (N, D + D_g, H, W) with the original features untouched in front.
+global average pool, giving a D_g vector per RoI; the pool is folded into
+the 3x3 conv, so the conv's H x W map is never formed). The mixed vector is
+tiled back to H x W and appended to the input channels, so the output blob
+has shape (N, D + D_g, H, W) with the original features untouched in front.
 
 In a detector head every image brings its own RoIs, and a RoI attends only
 to the RoIs of its own image. ``nlroi_forward`` takes the RoIs of several
@@ -146,12 +147,17 @@ class ForwardCache:
     phi_flat: np.ndarray     # (N, D_f*H*W)
     psi_flat: np.ndarray     # (N, D_f*H*W)
     scores_raw: list         # per group: dot products before scaling
-    scores: list             # per group: scaled scores fed to the softmax
+    scale: float             # divisor of scores_raw
     attention: list          # per group: row-stochastic weights
     g_pre: np.ndarray        # (N, D_mid, H, W) before the ReLU
     g_post: np.ndarray       # (N, D_mid, H, W) after the ReLU
     g_pooled: np.ndarray     # (N, D_g) per-RoI embedding matrix G
     y_vec: np.ndarray        # (N, D_g) attention-mixed output
+
+    @property
+    def scores(self) -> list:
+        """Per group: the scaled scores fed to the softmax, bit for bit."""
+        return [raw / self.scale for raw in self.scores_raw]
 
 
 def init_params(config: NlRoiConfig, prng: Prng) -> NlRoiParams:
@@ -232,15 +238,6 @@ def _flat_embed(x, w, b):
     return e.reshape(e.shape[0], e.shape[1] * e.shape[2] * e.shape[3])
 
 
-def relation_scores(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig) -> np.ndarray:
-    """Scaled pre-softmax score matrix S with S[i,j] = <Phi_i, Psi_j> / scale."""
-    x = _check_blob(x, config)
-    phi_flat = _flat_embed(x, params.w_phi, params.b_phi)
-    psi_flat = _flat_embed(x, params.w_psi, params.b_psi)
-    raw = ops.matmul(phi_flat, psi_flat.T)
-    return raw / config.scale()
-
-
 def attention_weights(s: np.ndarray, attend_to_self: bool) -> np.ndarray:
     """Row softmax of the score matrix, optionally excluding each RoI's self.
 
@@ -249,15 +246,6 @@ def attention_weights(s: np.ndarray, attend_to_self: bool) -> np.ndarray:
     treated as -inf, rows renormalized over the rest).
     """
     return ops.softmax_rows(s, mask_diagonal=not attend_to_self)
-
-
-def embed_g(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig) -> np.ndarray:
-    """Per-RoI embedding: 1x1 conv, ReLU, 3x3 same conv, global average pool."""
-    x = _check_blob(x, config)
-    pre = ops.conv2d_1x1(x, params.w_g1, params.b_g1)
-    post = ops.relu(pre)
-    conv = ops.conv2d_3x3_same(post, params.w_g2, params.b_g2)
-    return ops.global_avg_pool(conv)
 
 
 def _mix_embeddings(p: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -311,9 +299,8 @@ def nlroi_forward(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig, count
     psi_flat = _flat_embed(x, params.w_psi, params.b_psi)
     g_pre = ops.conv2d_1x1(x, params.w_g1, params.b_g1)
     g_post = ops.relu(g_pre)
-    g_conv = ops.conv2d_3x3_same(g_post, params.w_g2, params.b_g2)
-    g_pooled = ops.global_avg_pool(g_conv)
-    raws, scores, attns, mixed = [], [], [], []
+    g_pooled = ops.conv2d_3x3_pooled(g_post, params.w_g2, params.b_g2)
+    raws, attns, mixed = [], [], []
     image = 0
     for row, images, rois in groups:
         raw = ops.matmul(
@@ -327,7 +314,6 @@ def nlroi_forward(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig, count
         attn = attention_weights(s, config.attend_to_self)
         mixed.append(_mix_embeddings(attn, _stacked(g_pooled, row, images, rois)))
         raws.append(raw)
-        scores.append(s)
         attns.append(attn)
         image += images
     y_vec = _unstacked(mixed, config.d_g)
@@ -338,7 +324,7 @@ def nlroi_forward(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig, count
         phi_flat=phi_flat,
         psi_flat=psi_flat,
         scores_raw=raws,
-        scores=scores,
+        scale=config.scale(),
         attention=attns,
         g_pre=g_pre,
         g_post=g_post,
@@ -494,11 +480,8 @@ def nlroi_backward(
     )
 
     # G = pool(conv3x3(relu(conv1x1(x))))
-    d_g_conv = np.broadcast_to(
-        (d_g_pooled / (h * w))[:, :, None, None], (n, d_g, h, w)
-    ).copy()
-    d_g_post, d_w_g2, d_b_g2 = ops.conv2d_3x3_same_vjp(
-        cache.g_post, params.w_g2, params.b_g2, d_g_conv
+    d_g_post, d_w_g2, d_b_g2 = ops.conv2d_3x3_pooled_vjp(
+        cache.g_post, params.w_g2, params.b_g2, d_g_pooled
     )
     (d_g_pre,) = ops.relu_vjp(cache.g_pre, d_g_post)
     d_x_g, d_w_g1, d_b_g1 = ops.conv2d_1x1_vjp(x, params.w_g1, params.b_g1, d_g_pre)

@@ -4,10 +4,10 @@ Tensors are C-contiguous float64 numpy arrays, and every operation is a
 pure function of its inputs. What the forward operations guarantee about
 their bits, given N RoIs along the leading axis:
 
-* The channel stages compute each RoI separately. ``conv2d_1x1`` makes one
-  identical BLAS call per RoI, and ``conv2d_3x3_same`` adds its terms to
-  each output element in a fixed order (bias, input channel, tap). An
-  RoI's output bits do not depend on where it sits in the batch.
+* The channel stages compute each RoI separately: ``conv2d_1x1`` and
+  ``conv2d_3x3_pooled`` (a 3x3 conv folded with the global average pool
+  that follows it) each make one identical BLAS call per RoI. An RoI's
+  output bits do not depend on where it sits in the batch.
 * ``matmul`` reduces over its inner index in ascending order with an
   explicit loop, so a score depends only on its own pair of rows, and the
   softmax normalizer adds its terms in ascending *value* order, so it does
@@ -141,26 +141,32 @@ def conv2d_1x1_vjp(x: np.ndarray, w: np.ndarray, b: np.ndarray, d_out: np.ndarra
     return dx, dw, db
 
 
-# Elements per output block of conv2d_3x3_same: 512 KiB of float64, so a
-# block and its product buffer fit together in a 2 MiB L2 cache.
-_CONV3X3_BLOCK_ELEMS = 1 << 16
+def _pooled_kernel(w: np.ndarray, h: int, wd: int):
+    """Fold a 3x3 kernel with the mean over the H x W output positions.
+
+    ``reads`` (9, H*W) is 1 where tap (ki, kj) reads input position p for
+    some in-range output (each tap reads a position at most once). Returns
+    K (Cout, Cin*H*W), with pool(conv3x3(X))[o] = b[o] + K[o] . X, and reads.
+    """
+    cout, cin = w.shape[:2]
+    # tap row 0 reads input rows 0..H-2 (for outputs 1..H-1), tap row 1 every
+    # row, tap row 2 rows 1..H-1; likewise for columns
+    rows_ok = np.ones((3, h))
+    rows_ok[0, -1] = rows_ok[2, 0] = 0.0
+    cols_ok = np.ones((3, wd))
+    cols_ok[0, -1] = cols_ok[2, 0] = 0.0
+    reads = (rows_ok[:, None, :, None] * cols_ok[None, :, None, :]).reshape(9, h * wd)
+    k = (w.reshape(cout * cin, 9) @ reads).reshape(cout, cin * h * wd) / (h * wd)
+    return k, reads
 
 
-def _pad_rois_last(x: np.ndarray) -> np.ndarray:
-    """(N,C,H,W) -> zero-padded (C,H+2,W+2,N), with the RoI axis innermost."""
-    n, c, h, wd = x.shape
-    xp = np.zeros((c, h + 2, wd + 2, n))
-    xp[:, 1:-1, 1:-1, :] = x.transpose(1, 2, 3, 0)
-    return xp
+def conv2d_3x3_pooled(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Global average pool of a 3x3 cross-correlation (stride 1, zero
+    padding 1): (N,Cin,H,W) -> (N,Cout), without the (N,Cout,H,W) map.
 
-
-def conv2d_3x3_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """3x3 cross-correlation, stride 1, zero padding 1 (spatial size preserved).
-
-    Each output element starts at its bias and adds W[o,c,ki,kj] * X[...]
-    for input channel c, then tap (ki, kj), in ascending order: a fixed
-    per-element order that a GEMM would not keep. Working in a RoIs-last
-    layout makes every term one contiguous elementwise pass.
+    The pool is linear, so it folds into the kernel (``_pooled_kernel``);
+    each RoI then takes one identical BLAS product K @ X[n], and its output
+    bits do not depend on where it sits in the batch.
     """
     x = _as_f64(x)
     w = _as_f64(w)
@@ -177,48 +183,24 @@ def conv2d_3x3_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
         )
     if b.shape[0] != cout:
         raise DimensionError(f"conv2d_3x3 bias {b.shape} vs weight {w.shape}")
-    xp = _pad_rois_last(x)
-    out = np.empty((cout, h, wd, n))
-    out[:] = b[:, None, None, None]
-    # Output channels go in blocks so that a block and its product buffer
-    # stay in cache across all cin*9 passes; blocking over o leaves each
-    # element's own order of additions unchanged.
-    block = max(1, _CONV3X3_BLOCK_ELEMS // max(1, h * wd * n))
-    term = np.empty((min(block, cout), h, wd, n))
-    for o in range(0, cout, block):
-        acc = out[o : o + block]
-        prod = term[: acc.shape[0]]
-        for c in range(cin):
-            for i in range(3):
-                for j in range(3):
-                    np.multiply(
-                        w[o : o + block, c, i, j, None, None, None],
-                        xp[c, i : i + h, j : j + wd],
-                        out=prod,
-                    )
-                    acc += prod
-    return np.ascontiguousarray(out.transpose(3, 0, 1, 2))
+    if h * wd == 0:
+        raise DimensionError(f"cannot pool over empty spatial extent {x.shape}")
+    k, _ = _pooled_kernel(w, h, wd)
+    return (k @ x.reshape(n, cin * h * wd, 1))[:, :, 0] + b
 
 
-def conv2d_3x3_same_vjp(x: np.ndarray, w: np.ndarray, b: np.ndarray, d_out: np.ndarray):
+def conv2d_3x3_pooled_vjp(x: np.ndarray, w: np.ndarray, b: np.ndarray, d_out: np.ndarray):
     n, cin, h, wd = x.shape
     cout = w.shape[0]
-    if d_out.shape != (n, cout, h, wd):
+    if d_out.shape != (n, cout):
         raise DimensionError(
-            f"conv2d_3x3 upstream gradient {d_out.shape}, expected {(n, cout, h, wd)}"
+            f"conv2d_3x3 upstream gradient {d_out.shape}, expected {(n, cout)}"
         )
-    xp = _pad_rois_last(x)
-    g = d_out.transpose(1, 2, 3, 0).reshape(cout, h * wd * n)
-    dxp = np.zeros_like(xp)
-    dw = np.empty_like(w)
-    # one pair of GEMMs per tap; dX taps are added in ascending (ki, kj)
-    for i in range(3):
-        for j in range(3):
-            patch = xp[:, i : i + h, j : j + wd].reshape(cin, h * wd * n)
-            dw[:, :, i, j] = g @ patch.T
-            dxp[:, i : i + h, j : j + wd] += (w[:, :, i, j].T @ g).reshape(cin, h, wd, n)
-    db = np.sum(d_out, axis=(0, 2, 3))
-    return np.ascontiguousarray(dxp[:, 1:-1, 1:-1].transpose(3, 0, 1, 2)), dw, db
+    k, reads = _pooled_kernel(w, h, wd)
+    dx = (d_out @ k).reshape(x.shape)
+    d_k = (d_out.T @ x.reshape(n, cin * h * wd)).reshape(cout * cin, h * wd)
+    dw = (d_k @ reads.T).reshape(w.shape) / (h * wd)
+    return dx, dw, d_out.sum(axis=0)
 
 
 def softmax_rows(s: np.ndarray, mask_diagonal: bool = False) -> np.ndarray:
@@ -303,7 +285,7 @@ def global_avg_pool_vjp(x: np.ndarray, d_out: np.ndarray):
     if d_out.shape != (n, c):
         raise DimensionError(f"pool upstream gradient {d_out.shape}, expected {(n, c)}")
     spread = d_out / (h * w)
-    return (np.broadcast_to(spread[:, :, None, None], x.shape).copy(),)
+    return (np.repeat(spread, h * w, axis=1).reshape(x.shape),)
 
 
 def tile_spatial(v: np.ndarray, h: int, w: int) -> np.ndarray:
@@ -313,7 +295,7 @@ def tile_spatial(v: np.ndarray, h: int, w: int) -> np.ndarray:
     if h < 1 or w < 1:
         raise DimensionError(f"tile extent must be positive, got ({h}, {w})")
     n, c = v.shape
-    return np.broadcast_to(v[:, :, None, None], (n, c, h, w)).copy()
+    return np.repeat(v, h * w, axis=1).reshape(n, c, h, w)
 
 
 def tile_spatial_vjp(v: np.ndarray, h: int, w: int, d_out: np.ndarray):

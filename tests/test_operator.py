@@ -18,12 +18,10 @@ from nlroi.operator import (
     NlRoiParams,
     Scaling,
     attention_weights,
-    embed_g,
     init_params,
     nlroi_backward,
     nlroi_forward,
     nlroi_reference,
-    relation_scores,
 )
 from nlroi.rng import Prng
 
@@ -32,6 +30,14 @@ def small_config(**kw):
     base = dict(d=8, d_f=4, d_mid=4, d_g=5, h=3, w=3)
     base.update(kw)
     return NlRoiConfig(**base)
+
+
+def scores_of(x, params, config):
+    return nlroi_forward(x, params, config)[1].scores[0][0]
+
+
+def g_of(x, params, config):
+    return nlroi_forward(x, params, config)[1].g_pooled
 
 
 def random_case(seed, n, config):
@@ -103,7 +109,7 @@ class TestRelationScores:
     def test_single_roi_dot_product(self):
         cfg = small_config()
         x, params = random_case(12, 1, cfg)
-        s = relation_scores(x, params, cfg)
+        s = scores_of(x, params, cfg)
         phi = ops.conv2d_1x1(x, params.w_phi, params.b_phi).reshape(1, -1)
         psi = ops.conv2d_1x1(x, params.w_psi, params.b_psi).reshape(1, -1)
         want = float(ops.matmul(phi, psi.T)[0, 0]) / cfg.scale()
@@ -116,7 +122,7 @@ class TestRelationScores:
         params.w_psi = params.w_phi.copy()
         params.b_psi = params.b_phi.copy()
         x[1] = x[0]
-        s = relation_scores(x, params, cfg)
+        s = scores_of(x, params, cfg)
         assert s[0, 0] == s[0, 1] == s[1, 0] == s[1, 1]
 
     def test_mode_ratio_with_power_of_two_scales(self):
@@ -128,8 +134,8 @@ class TestRelationScores:
             d=8, d_f=4, d_mid=4, d_g=3, h=2, w=2, scaling=Scaling.FULL_FLATTEN
         )
         x, params = random_case(14, 5, cfg_pc)
-        s_pc = relation_scores(x, params, cfg_pc)
-        s_ff = relation_scores(x, params, cfg_ff)
+        s_pc = scores_of(x, params, cfg_pc)
+        s_ff = scores_of(x, params, cfg_ff)
         assert np.array_equal(s_pc * cfg_pc.scale(), s_ff * cfg_ff.scale())
         assert np.array_equal(s_pc, s_ff * math.sqrt(2 * 2))
 
@@ -137,7 +143,7 @@ class TestRelationScores:
         cfg = small_config()
         x, params = random_case(15, 3, cfg)
         with pytest.raises(DimensionError):
-            relation_scores(x[:, :4], params, cfg)
+            nlroi_forward(x[:, :4], params, cfg)
 
 
 class TestAttentionWeights:
@@ -169,7 +175,7 @@ class TestEmbedG:
     def test_zero_input_zero_biases(self):
         cfg = small_config()
         _, params = random_case(18, 1, cfg)
-        out = embed_g(np.zeros((3, 8, 3, 3)), params, cfg)
+        out = g_of(np.zeros((3, 8, 3, 3)), params, cfg)
         assert np.array_equal(out, np.zeros((3, 5)))
 
     def test_bias_only_path(self):
@@ -178,21 +184,19 @@ class TestEmbedG:
         params.b_g1 = np.zeros(4)
         beta = np.array([0.25, -1.5, 3.0, 0.0, 2.0])
         params.b_g2 = beta.copy()
-        out = embed_g(np.zeros((2, 8, 3, 3)), params, cfg)
+        out = g_of(np.zeros((2, 8, 3, 3)), params, cfg)
         for row in out:
             assert np.array_equal(row, beta)
 
     def test_matches_composition_of_primitives(self):
         cfg = small_config()
         x, params = random_case(20, 4, cfg)
-        want = ops.global_avg_pool(
-            ops.conv2d_3x3_same(
-                ops.relu(ops.conv2d_1x1(x, params.w_g1, params.b_g1)),
-                params.w_g2,
-                params.b_g2,
-            )
+        want = ops.conv2d_3x3_pooled(
+            ops.relu(ops.conv2d_1x1(x, params.w_g1, params.b_g1)),
+            params.w_g2,
+            params.b_g2,
         )
-        assert np.array_equal(embed_g(x, params, cfg), want)
+        assert np.array_equal(g_of(x, params, cfg), want)
 
 
 class TestForward:
@@ -200,7 +204,7 @@ class TestForward:
         cfg = small_config()
         x, params = random_case(21, 1, cfg)
         out, cache = nlroi_forward(x, params, cfg)
-        assert np.array_equal(cache.y_vec[0], embed_g(x, params, cfg)[0])
+        assert np.array_equal(cache.y_vec[0], cache.g_pooled[0])
         assert np.array_equal(cache.attention[0][0], [[1.0]])
 
     def test_first_channels_pass_through(self):
@@ -318,7 +322,7 @@ class TestReference:
         cfg = small_config()
         x, params = random_case(30, 1, cfg)
         ref = nlroi_reference(x, params, cfg)
-        g = embed_g(x, params, cfg)
+        g = g_of(x, params, cfg)
         for o in range(5):
             assert np.allclose(ref[0, 8 + o], g[0, o], rtol=0, atol=1e-12)
 
@@ -328,7 +332,7 @@ class TestReference:
         x[1] = x[0]
         ref = nlroi_reference(x, params, cfg)
         assert np.allclose(ref[0, 8:], ref[1, 8:], rtol=0, atol=1e-12)
-        g = embed_g(x, params, cfg)
+        g = g_of(x, params, cfg)
         assert np.allclose(ref[0, 8:, 0, 0], g[0], rtol=0, atol=1e-12)
 
     def test_masked_reference_matches_forward(self):

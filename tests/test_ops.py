@@ -5,11 +5,15 @@ triple loop for matmul, a six-nested loop for the 3x3 convolution, and
 central finite differences for every backward pass.
 """
 
+import ast
+import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlroi
 from nlroi import ops
 from nlroi.errors import DegenerateAttentionError, DimensionError
 from nlroi.rng import Prng
@@ -129,43 +133,50 @@ class TestConv1x1:
             ops.conv2d_1x1(np.zeros((1, 3, 2, 2)), np.zeros((2, 4)), np.zeros(2))
 
 
-class TestConv3x3:
-    def test_center_only_kernel_is_identity(self):
-        x = Prng(2).normals(1 * 2 * 4 * 4).reshape(1, 2, 4, 4)
+class TestConv3x3Pooled:
+    def test_center_only_kernel_gives_channel_means(self):
+        # integer map on 4x4, so every term /16 and the mean are exact
+        x = np.arange(3 * 2 * 4 * 4, dtype=np.float64).reshape(3, 2, 4, 4) % 7 - 3
         w = np.zeros((2, 2, 3, 3))
         w[0, 0, 1, 1] = 1.0
         w[1, 1, 1, 1] = 1.0
-        assert np.array_equal(ops.conv2d_3x3_same(x, w, np.zeros(2)), x)
+        out = ops.conv2d_3x3_pooled(x, w, np.zeros(2))
+        assert np.array_equal(out, x.mean(axis=(2, 3)))
 
-    def test_padding_arithmetic(self):
-        # all-ones kernel over a constant map: 9c interior, 4c at corners
+    def test_padding_counts(self):
+        # all-ones kernel over a constant 4x4 map: the 16 outputs see 4 taps
+        # at the 4 corners, 6 at the 8 edge positions, 9 at the 4 interior
         c = 1.75
-        x = np.full((1, 1, 5, 5), c)
-        out = ops.conv2d_3x3_same(x, np.ones((1, 1, 3, 3)), np.zeros(1))[0, 0]
-        assert out[2, 2] == 9 * c
-        assert out[0, 0] == 4 * c
-        assert out[0, 4] == 4 * c
-        assert out[4, 0] == 4 * c
-        assert out[0, 2] == 6 * c
+        x = np.full((1, 1, 4, 4), c)
+        out = ops.conv2d_3x3_pooled(x, np.ones((1, 1, 3, 3)), np.zeros(1))
+        assert out[0, 0] == (4 * 4 + 8 * 6 + 4 * 9) / 16 * c
 
-    def test_against_six_loop_oracle(self):
+    def test_against_six_loop_conv_then_mean(self):
         prng = Prng(3)
-        for _ in range(5):
-            x = prng.normals(1 * 2 * 4 * 4).reshape(1, 2, 4, 4)
-            w = prng.normals(3 * 2 * 3 * 3).reshape(3, 2, 3, 3)
-            b = prng.normals(3)
-            assert np.array_equal(ops.conv2d_3x3_same(x, w, b), conv3x3_oracle(x, w, b))
-        # several RoIs on non-square maps, so a transpose between layouts
-        # that swapped two axes would show
-        for shape in ((3, 2, 3, 5), (3, 2, 5, 2)):
-            x = prng.normals(math.prod(shape)).reshape(shape)
-            w = prng.normals(3 * 2 * 3 * 3).reshape(3, 2, 3, 3)
-            b = prng.normals(3)
-            assert np.array_equal(ops.conv2d_3x3_same(x, w, b), conv3x3_oracle(x, w, b))
+        for h, wd in ((1, 1), (1, 5), (4, 1), (3, 5), (5, 2), (7, 7)):
+            x = prng.normals(3 * 2 * h * wd).reshape(3, 2, h, wd)
+            w = prng.normals(4 * 2 * 3 * 3).reshape(4, 2, 3, 3)
+            b = prng.normals(4)
+            want = conv3x3_oracle(x, w, b).mean(axis=(2, 3))
+            got = ops.conv2d_3x3_pooled(x, w, b)
+            assert got.shape == (3, 4)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (h, wd)
+
+    def test_batch_equals_each_roi_alone_bitwise(self):
+        prng = Prng(13)
+        x = prng.normals(37 * 64 * 7 * 7).reshape(37, 64, 7, 7)
+        w = prng.normals(16 * 64 * 9).reshape(16, 64, 3, 3)
+        b = prng.normals(16)
+        alone = np.concatenate([ops.conv2d_3x3_pooled(x[i : i + 1], w, b) for i in range(37)])
+        assert np.array_equal(ops.conv2d_3x3_pooled(x, w, b), alone)
 
     def test_weight_shape_checked(self):
         with pytest.raises(DimensionError):
-            ops.conv2d_3x3_same(np.zeros((1, 2, 4, 4)), np.zeros((3, 2, 5, 5)), np.zeros(3))
+            ops.conv2d_3x3_pooled(np.zeros((1, 2, 4, 4)), np.zeros((3, 2, 5, 5)), np.zeros(3))
+
+    def test_rejects_empty_extent(self):
+        with pytest.raises(DimensionError):
+            ops.conv2d_3x3_pooled(np.zeros((1, 2, 0, 4)), np.zeros((3, 2, 3, 3)), np.zeros(3))
 
 
 class TestSoftmaxRows:
@@ -252,6 +263,16 @@ class TestSmallOps:
         out = ops.tile_spatial(np.array([[7.0]]), 2, 2)
         assert np.array_equal(out, np.full((1, 1, 2, 2), 7.0))
 
+    def test_tile_equals_broadcast_copy_bitwise(self):
+        prng = Prng(14)
+        for n, c, h, w in ((1, 1, 1, 1), (3, 4, 2, 5), (8, 16, 3, 3), (0, 2, 4, 4)):
+            v = prng.normals(n * c).reshape(n, c)
+            want = np.broadcast_to(v[:, :, None, None], (n, c, h, w)).copy()
+            assert ops.tile_spatial(v, h, w).tobytes() == want.tobytes()
+            (spread,) = ops.global_avg_pool_vjp(np.zeros((n, c, h, w)), v)
+            want = np.broadcast_to((v / (h * w))[:, :, None, None], (n, c, h, w)).copy()
+            assert spread.tobytes() == want.tobytes()
+
     def test_tile_then_pool_roundtrip(self):
         v = Prng(8).normals(12).reshape(3, 4)
         assert np.array_equal(ops.global_avg_pool(ops.tile_spatial(v, 3, 5)), v)
@@ -320,14 +341,14 @@ class TestVjps:
         assert max_rel(dw, fd_grad(lambda v: np.sum(f(x, v, b) * up), w)) < 1e-6
         assert max_rel(db, fd_grad(lambda v: np.sum(f(x, w, v) * up), b)) < 1e-6
 
-    def test_conv3x3_vjp_fd(self):
+    def test_conv3x3_pooled_vjp_fd(self):
         prng = Prng(23)
-        x = prng.normals(2 * 3 * 4 * 4).reshape(2, 3, 4, 4)
+        x = prng.normals(2 * 3 * 4 * 5).reshape(2, 3, 4, 5)
         w = prng.normals(2 * 3 * 9).reshape(2, 3, 3, 3)
         b = prng.normals(2)
-        up = prng.normals(2 * 2 * 4 * 4).reshape(2, 2, 4, 4)
-        dx, dw, db = ops.conv2d_3x3_same_vjp(x, w, b, up)
-        f = ops.conv2d_3x3_same
+        up = prng.normals(2 * 2).reshape(2, 2)
+        dx, dw, db = ops.conv2d_3x3_pooled_vjp(x, w, b, up)
+        f = ops.conv2d_3x3_pooled
         assert max_rel(dx, fd_grad(lambda v: np.sum(f(v, w, b) * up), x)) < 1e-6
         assert max_rel(dw, fd_grad(lambda v: np.sum(f(x, v, b) * up), w)) < 1e-6
         assert max_rel(db, fd_grad(lambda v: np.sum(f(x, w, v) * up), b)) < 1e-6
@@ -339,13 +360,13 @@ class TestVjps:
         x = prng.normals(5 * 32 * 7 * 5).reshape(5, 32, 7, 5)
         up = prng.normals(x.size).reshape(x.shape)
         bias = np.zeros(32)
-        for conv, conv_vjp, w_shape in (
-            (ops.conv2d_1x1, ops.conv2d_1x1_vjp, (32, 32)),
-            (ops.conv2d_3x3_same, ops.conv2d_3x3_same_vjp, (32, 32, 3, 3)),
+        for conv, conv_vjp, w_shape, upstream in (
+            (ops.conv2d_1x1, ops.conv2d_1x1_vjp, (32, 32), up),
+            (ops.conv2d_3x3_pooled, ops.conv2d_3x3_pooled_vjp, (32, 32, 3, 3), up[:, :, 0, 0]),
         ):
             w = prng.normals(math.prod(w_shape)).reshape(w_shape)
-            dx, dw, _ = conv_vjp(x, w, bias, up)
-            forward = np.sum(conv(x, w, bias) * up)
+            dx, dw, _ = conv_vjp(x, w, bias, upstream)
+            forward = np.sum(conv(x, w, bias) * upstream)
             for adjoint in (np.sum(x * dx), np.sum(w * dw)):
                 assert abs(adjoint - forward) <= 1e-12 * abs(forward)
 
@@ -415,3 +436,21 @@ class TestDeterminism:
         for _ in range(20):
             perm = prng.sample_indices(10, 10)
             assert np.array_equal(ops.sum_ascending_values(m[:, perm]), base)
+
+
+def test_every_public_op_is_used_by_the_package():
+    """An op that only tests call is dead code: each public function of
+    ``ops`` must be named somewhere in the package outside its own body."""
+    public = {
+        name for name, fn in vars(ops).items()
+        if inspect.isfunction(fn) and fn.__module__ == ops.__name__ and not name.startswith("_")
+    }
+    used = set()
+    for path in Path(nlroi.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if isinstance(node, (ast.Name, ast.Attribute)) and name != own:
+                    used.add(name)
+    assert sorted(public - used) == []
