@@ -21,6 +21,16 @@ mix) run once per run of consecutive images with equal counts, on stacked
 (images, n, .) arrays. Every image's output is bitwise equal to what a
 call with that image alone returns.
 
+The N x N stages and their VJPs run in a canonical RoI order: each image's
+RoIs sorted by content (``_canonical_order``, one argsort per run of
+equal-count images). Relabeling an image's RoIs hands these stages the
+same arrays, so they may use any deterministic kernel, BLAS for the mix
+included, and the forward and the input gradient dX are bitwise
+permutation-equivariant. RoIs with equal bytes are identical; the stages
+give them identical results wherever the sort puts them. The parameter
+gradients sum over the RoIs in call order: they are deterministic, but a
+relabeling can move their last bits.
+
 Two scaling modes divide the raw dot products: the square root of the
 channel count D_f (per-channel, the default) or of the full flattened
 length D_f*H*W. Self-attention can be disabled, in which case the diagonal
@@ -139,25 +149,58 @@ class NlRoiParams:
 
 @dataclass
 class ForwardCache:
-    """Forward activations. Per-RoI tensors cover all N RoIs of the call;
-    the N x N tensors hold one (images, n, n) stack per entry of ``groups``."""
+    """Forward activations. Per-RoI tensors cover all N RoIs of the call.
+
+    The N x N stages ran in canonical order (``_canonical_order``): canonical
+    row k is original row ``order[k]``. ``phi``, ``psi`` and ``g`` hold
+    their rows in that order, and ``raw`` and ``attn`` one canonical
+    (images, n, n) stack per entry of ``groups``. ``g_pooled``,
+    ``scores_raw``, ``scores`` and ``attention`` give them in the call's
+    own row order.
+    """
 
     x: np.ndarray            # (N, D, H, W) input blob
     groups: tuple            # (first row, images, RoIs per image) per run of equal counts
-    phi_flat: np.ndarray     # (N, D_f*H*W)
-    psi_flat: np.ndarray     # (N, D_f*H*W)
-    scores_raw: list         # per group: dot products before scaling
-    scale: float             # divisor of scores_raw
-    attention: list          # per group: row-stochastic weights
-    g_pre: np.ndarray        # (N, D_mid, H, W) before the ReLU
-    g_post: np.ndarray       # (N, D_mid, H, W) after the ReLU
-    g_pooled: np.ndarray     # (N, D_g) per-RoI embedding matrix G
-    y_vec: np.ndarray        # (N, D_g) attention-mixed output
+    order: np.ndarray        # (N,) original row of each canonical row
+    twins: tuple             # per group: identical RoIs, see _canonical_order
+    phi: np.ndarray          # (N, D_f*H*W) flattened phi embeddings
+    psi: np.ndarray          # (N, D_f*H*W) flattened psi embeddings
+    g: np.ndarray            # (N, D_g) per-RoI embedding matrix G
+    raw: list                # per group: dot products before scaling
+    scale: float             # divisor of the raw scores
+    attn: list               # per group: row-stochastic weights
+    g_pre: np.ndarray        # (N, D_mid, H, W) before the ReLU, call order
+    g_post: np.ndarray       # (N, D_mid, H, W) after the ReLU, call order
+    y_vec: np.ndarray        # (N, D_g) attention-mixed output, call order
+
+    @property
+    def g_pooled(self) -> np.ndarray:
+        """(N, D_g) per-RoI embedding matrix G."""
+        out = np.empty(self.g.shape)
+        out[self.order] = self.g
+        return out
+
+    def _in_call_order(self, stacks: list) -> list:
+        out = []
+        for (row, images, rois), a in zip(self.groups, stacks):
+            rank = np.argsort(self.order[row : row + images * rois].reshape(images, rois), axis=-1)
+            out.append(a[np.arange(images)[:, None, None], rank[:, :, None], rank[:, None, :]])
+        return out
+
+    @property
+    def scores_raw(self) -> list:
+        """Per group: dot products before scaling."""
+        return self._in_call_order(self.raw)
 
     @property
     def scores(self) -> list:
         """Per group: the scaled scores fed to the softmax, bit for bit."""
         return [raw / self.scale for raw in self.scores_raw]
+
+    @property
+    def attention(self) -> list:
+        """Per group: row-stochastic weights."""
+        return self._in_call_order(self.attn)
 
 
 def init_params(config: NlRoiConfig, prng: Prng) -> NlRoiParams:
@@ -248,33 +291,49 @@ def attention_weights(s: np.ndarray, attend_to_self: bool) -> np.ndarray:
     return ops.softmax_rows(s, mask_diagonal=not attend_to_self)
 
 
-def _mix_embeddings(p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Y[b,i,c] = sum_j P[b,i,j] * G[b,j,c], addends added in ascending value order.
+def _canonical_order(x: np.ndarray, groups: tuple):
+    """Returns (order, twins): the canonical row order of the N x N stages.
 
-    Value-ordered accumulation makes each output depend only on the multiset
-    of (weight, embedding) pairs, so permuting the attended RoIs changes
-    nothing, bit for bit. The leading axis stacks images.
+    Canonical row k is original row ``order[k]``: each image's RoIs in
+    ascending order of their first element, ties broken by their bytes;
+    images in call order. A RoI's position in the call then cannot change
+    what these stages compute. RoIs with equal bytes (twins) are identical,
+    and the stages must give them identical results wherever the sort puts
+    them: ``twins[g]`` is None, or index arrays (image, k, a) of group g's
+    stack, where canonical RoI k repeats RoI a, the first of its run of
+    twins.
     """
-    images, n, m = p.shape
-    dg = g.shape[2]
-    if m == 0:
-        return np.zeros((images, n, dg))
-    # every image's rows in one (images * n, m, dg) array; each row alone
-    terms = np.sort(p[:, :, :, None] * g[:, None, :, :], axis=2).reshape(images * n, m, dg)
-    out = terms[:, 0, :].copy()
-    for j in range(1, m):
-        out += terms[:, j, :]
-    return out.reshape(images, n, dg)
+    n, length = x.shape[0], math.prod(x.shape[1:])
+    rows = x.reshape(n, length)
+    order = np.empty(n, dtype=np.intp)
+    twins = []
+    for row, images, rois in groups:
+        end = row + images * rois
+        lead = rows[row:end, 0].reshape(images, rois)
+        offset = row + rois * np.arange(images)[:, None]
+        block = np.argsort(lead, axis=-1) + offset
+        twin = None
+        ranked = rows[block, 0]
+        if (ranked[:, 1:] == ranked[:, :-1]).any():
+            # equal first elements: order those RoIs by their bytes, which
+            # also puts twins next to each other
+            keys = rows[row:end].view(f"V{x.itemsize * length}").reshape(images, rois)
+            block = np.lexsort((keys, lead), axis=-1) + offset
+            ranked = keys.reshape(-1)[block - row]
+            same = ranked[:, 1:] == ranked[:, :-1]
+            image, k = np.nonzero(same)
+            if image.size:
+                # a run starts at the last column that differs from its left
+                start = np.maximum.accumulate(np.where(same, 0, np.arange(1, rois)), axis=-1)
+                twin = (image, k + 1, start[image, k])
+        order[row:end] = block.reshape(-1)
+        twins.append(twin)
+    return order, tuple(twins)
 
 
 def _stacked(a: np.ndarray, row: int, images: int, rois: int) -> np.ndarray:
     """The group's rows of a per-RoI matrix as an (images, rois, cols) view."""
     return a[row : row + images * rois].reshape(images, rois, a.shape[1])
-
-
-def _unstacked(stacks: list, cols: int) -> np.ndarray:
-    """Per-group (images, rois, cols) stacks back to one per-RoI matrix."""
-    return np.concatenate([s.reshape(-1, cols) for s in stacks] or [np.zeros((0, cols))])
 
 
 def nlroi_forward(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig, counts=None):
@@ -295,40 +354,53 @@ def nlroi_forward(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig, count
             "it has no entries left to attend to"
         )
     groups = _groups(counts)
-    phi_flat = _flat_embed(x, params.w_phi, params.b_phi)
-    psi_flat = _flat_embed(x, params.w_psi, params.b_psi)
+    order, twins = _canonical_order(x, groups)
+    phi = _flat_embed(x, params.w_phi, params.b_phi)[order]
+    psi = _flat_embed(x, params.w_psi, params.b_psi)[order]
     g_pre = ops.conv2d_1x1(x, params.w_g1, params.b_g1)
     g_post = ops.relu(g_pre)
-    g_pooled = ops.conv2d_3x3_pooled(g_post, params.w_g2, params.b_g2)
-    raws, attns, mixed = [], [], []
+    g = ops.conv2d_3x3_pooled(g_post, params.w_g2, params.b_g2)[order]
+    y_vec = np.empty(g.shape)
+    raws, attns = [], []
     image = 0
-    for row, images, rois in groups:
+    for (row, images, rois), twin in zip(groups, twins):
         raw = ops.matmul(
-            _stacked(phi_flat, row, images, rois),
-            _stacked(psi_flat, row, images, rois).transpose(0, 2, 1),
+            _stacked(phi, row, images, rois),
+            _stacked(psi, row, images, rois).transpose(0, 2, 1),
         )
         s = raw / config.scale()
         if not np.isfinite(s).all():
             k = int(np.argmin(np.isfinite(s).reshape(images, -1).all(axis=1)))
             _require_finite(s[k], f"attention score matrix of image {image + k}")
         attn = attention_weights(s, config.attend_to_self)
-        mixed.append(_mix_embeddings(attn, _stacked(g_pooled, row, images, rois)))
+        mixed = attn @ _stacked(g, row, images, rois)
+        if twin is not None:
+            # a twin copies the first RoI of its run: rows that differ only
+            # in where the masked zero sits may round differently
+            b, k, a = twin
+            attn[b, k] = attn[b, a]
+            mixed[b, k] = mixed[b, a]
+            if not config.attend_to_self:
+                attn[b, k, a] = attn[b, k, k]
+                attn[b, k, k] = 0.0
+        y_vec[order[row : row + images * rois]] = mixed.reshape(-1, config.d_g)
         raws.append(raw)
         attns.append(attn)
         image += images
-    y_vec = _unstacked(mixed, config.d_g)
     out = ops.concat_channels(x, ops.tile_spatial(y_vec, config.h, config.w))
     cache = ForwardCache(
         x=x,
         groups=groups,
-        phi_flat=phi_flat,
-        psi_flat=psi_flat,
-        scores_raw=raws,
+        order=order,
+        twins=twins,
+        phi=phi,
+        psi=psi,
+        g=g,
+        raw=raws,
         scale=config.scale(),
-        attention=attns,
+        attn=attns,
         g_pre=g_pre,
         g_post=g_post,
-        g_pooled=g_pooled,
         y_vec=y_vec,
     )
     return out, cache
@@ -428,6 +500,26 @@ def nlroi_reference(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig) -> 
     return out
 
 
+def _backward_order(cache: ForwardCache, d_y: np.ndarray) -> np.ndarray:
+    """The forward's canonical order, with each run of twins put in order
+    of their upstream bytes ``d_y``.
+
+    The backward sums over a run's rows, so their order must not depend on
+    the call's; the cached tensors are the same for every order of a run.
+    """
+    order = cache.order.copy()
+    for (row, images, rois), twin in zip(cache.groups, cache.twins):
+        if twin is None:
+            continue
+        b, k, a = twin
+        run = np.broadcast_to(np.arange(rois), (images, rois)).copy()
+        run[b, k] = a
+        rows = order[row : row + images * rois].reshape(images, rois)
+        keys = d_y[rows].view(f"V{d_y.itemsize * d_y.shape[1]}")[..., 0]
+        rows[:] = np.take_along_axis(rows, np.lexsort((keys, run), axis=-1), axis=-1)
+    return order
+
+
 def nlroi_backward(
     cache: ForwardCache,
     params: NlRoiParams,
@@ -438,8 +530,10 @@ def nlroi_backward(
 
     dX collects four contributions in fixed order: the concat pass-through,
     the phi path, the psi path, and the g path. The mix, softmax and score
-    VJPs run per group of the cache with batched products; parameter
-    gradients are summed over every image of the call.
+    VJPs run per group of the cache with batched products, in the forward's
+    canonical order (``_backward_order``), and so does the pooled 3x3
+    conv's VJP; their results go back to call order once per tensor.
+    Parameter gradients are summed over every image of the call.
     """
     x = cache.x
     n = x.shape[0]
@@ -455,38 +549,47 @@ def nlroi_backward(
     d_x_pass, d_tile = ops.concat_channels_vjp(x, np.empty((n, d_g, h, w)), d_out)
     (d_y,) = ops.tile_spatial_vjp(cache.y_vec, h, w, d_tile)
 
-    d_mixed, d_phi, d_psi = [], [], []
-    for (row, images, rois), attn in zip(cache.groups, cache.attention):
-        phi = _stacked(cache.phi_flat, row, images, rois)
-        psi = _stacked(cache.psi_flat, row, images, rois)
+    order = _backward_order(cache, d_y)
+    d_y_canon = d_y[order]
+    flat = cache.phi.shape[1]
+    d_g_canon = np.empty((n, d_g))
+    d_phi = np.empty((n, flat))
+    d_psi = np.empty((n, flat))
+    for (row, images, rois), attn in zip(cache.groups, cache.attn):
+        rows = order[row : row + images * rois]
         # Y = P G
         d_attn, d_g_stack = ops.matmul_vjp(
-            attn, _stacked(cache.g_pooled, row, images, rois), _stacked(d_y, row, images, rois)
+            attn, _stacked(cache.g, row, images, rois), _stacked(d_y_canon, row, images, rois)
         )
-        d_raw = ops.softmax_vjp_from_probs(attn, d_attn) / config.scale()
+        d_g_canon[row : row + images * rois] = d_g_stack.reshape(-1, d_g)
+        d_raw = ops.softmax_vjp_from_probs(attn, d_attn)
+        d_raw /= config.scale()
         # raw = Phi Psi^T
-        d_mixed.append(d_g_stack)
-        d_phi.append(d_raw @ psi)
-        d_psi.append(d_raw.transpose(0, 2, 1) @ phi)
-    flat = cache.phi_flat.shape[1]
-    d_g_pooled = _unstacked(d_mixed, d_g)
-    d_phi_flat = _unstacked(d_phi, flat)
-    d_psi_flat = _unstacked(d_psi, flat)
+        d_phi[rows] = (d_raw @ _stacked(cache.psi, row, images, rois)).reshape(-1, flat)
+        d_psi[rows] = (d_raw.transpose(0, 2, 1) @ _stacked(cache.phi, row, images, rois)).reshape(
+            -1, flat
+        )
     d_x_phi, d_w_phi, d_b_phi = ops.conv2d_1x1_vjp(
-        x, params.w_phi, params.b_phi, d_phi_flat.reshape(n, config.d_f, h, w)
+        x, params.w_phi, params.b_phi, d_phi.reshape(n, config.d_f, h, w)
     )
     d_x_psi, d_w_psi, d_b_psi = ops.conv2d_1x1_vjp(
-        x, params.w_psi, params.b_psi, d_psi_flat.reshape(n, config.d_f, h, w)
+        x, params.w_psi, params.b_psi, d_psi.reshape(n, config.d_f, h, w)
     )
 
-    # G = pool(conv3x3(relu(conv1x1(x))))
-    d_g_post, d_w_g2, d_b_g2 = ops.conv2d_3x3_pooled_vjp(
-        cache.g_post, params.w_g2, params.b_g2, d_g_pooled
+    # G = pool(conv3x3(relu(conv1x1(x)))); the pooled conv's input gradient
+    # is one product over all rows, so it too runs in canonical order
+    d_g_canon, d_w_g2, d_b_g2 = ops.conv2d_3x3_pooled_vjp(
+        cache.g_post[order], params.w_g2, params.b_g2, d_g_canon
     )
+    d_g_post = np.empty(d_g_canon.shape)
+    d_g_post[order] = d_g_canon
     (d_g_pre,) = ops.relu_vjp(cache.g_pre, d_g_post)
     d_x_g, d_w_g1, d_b_g1 = ops.conv2d_1x1_vjp(x, params.w_g1, params.b_g1, d_g_pre)
 
-    d_x = d_x_pass + d_x_phi + d_x_psi + d_x_g
+    d_x = d_x_pass
+    d_x += d_x_phi
+    d_x += d_x_psi
+    d_x += d_x_g
     grads = NlRoiParams(
         w_phi=d_w_phi,
         b_phi=d_b_phi,

@@ -1,27 +1,31 @@
 """Primitive tensor operations and their vector-Jacobian products.
 
 Tensors are C-contiguous float64 numpy arrays, and every operation is a
-pure function of its inputs. What the forward operations guarantee about
-their bits, given N RoIs along the leading axis:
+pure function of its inputs. What the operations guarantee about their
+bits, given N RoIs along the leading axis:
 
 * The channel stages compute each RoI separately: ``conv2d_1x1`` and
   ``conv2d_3x3_pooled`` (a 3x3 conv folded with the global average pool
-  that follows it) each make one identical BLAS call per RoI. An RoI's
-  output bits do not depend on where it sits in the batch.
+  that follows it) each make one identical BLAS call per RoI, and so does
+  the input gradient of ``conv2d_1x1_vjp``. An RoI's bits there do not
+  depend on where it sits in the batch. The input gradient of
+  ``conv2d_3x3_pooled_vjp`` is one product over all RoIs, whose rows can
+  round differently by position; the operator calls it in canonical order.
 * ``matmul`` reduces over its inner index in ascending order with an
-  explicit loop, so a score depends only on its own pair of rows, and the
-  softmax normalizer adds its terms in ascending *value* order, so it does
-  not depend on the order of the entries it normalizes over.
-* ``matmul``, ``softmax_rows`` and ``sum_ascending_values`` also take a
-  stack of matrices with a leading batch axis. Each matrix of the stack
-  gets exactly the operations it would get alone, so its bits do not
-  depend on the others.
+  explicit loop, so a score depends only on its own pair of rows.
+  ``softmax_rows`` sums each row with a NumPy sum, whose bits depend on the
+  order of the row's entries; the operator makes that order canonical (see
+  ``operator``), so no op here sorts values.
+* ``matmul`` and ``softmax_rows`` also take a stack of matrices with a
+  leading batch axis. Each matrix of the stack gets exactly the
+  operations it would get alone, so its bits do not depend on the others.
 
-The VJPs contract with BLAS (``@``) and sum with NumPy reductions. They
-are deterministic run to run on one machine with one NumPy/BLAS build,
-but reordering the RoIs can change their last bits: a BLAS reduction's
-order depends on the operands' sizes and on where an element falls in the
-blocking.
+All operations are deterministic run to run on one machine with one
+NumPy/BLAS build. The VJPs contract with BLAS (``@``) and sum with NumPy
+reductions. Sums over RoIs (the weight and bias gradients) take the RoIs
+in the order given, so reordering the RoIs can change their last bits: a
+BLAS reduction's order depends on the operands' sizes and on where an
+element falls in the blocking.
 """
 
 from __future__ import annotations
@@ -45,24 +49,6 @@ def _require_matrices(x: np.ndarray, name: str) -> None:
         raise DimensionError(
             f"{name} must be a matrix or a stack of matrices, got shape {x.shape}"
         )
-
-
-def sum_ascending_values(m: np.ndarray) -> np.ndarray:
-    """Sum each row (last axis) with addends taken in ascending value order.
-
-    The result depends only on the multiset of values in each row, so any
-    permutation of the columns produces bit-identical sums. Leading axes
-    are batch axes: (..., cols) -> (...).
-    """
-    cols = m.shape[-1]
-    if cols == 0:
-        return np.zeros(m.shape[:-1])
-    # rows of every batch in one 2-D array: each row is still summed alone
-    s = np.sort(m, axis=-1).reshape(-1, cols)
-    out = s[:, 0].copy()
-    for j in range(1, cols):
-        out += s[:, j]
-    return out.reshape(m.shape[:-1])
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -137,7 +123,7 @@ def conv2d_1x1_vjp(x: np.ndarray, w: np.ndarray, b: np.ndarray, d_out: np.ndarra
     g_cols = g.transpose(1, 0, 2).reshape(cout, n * h * wd)
     x_cols = x.reshape(n, cin, h * wd).transpose(1, 0, 2).reshape(cin, n * h * wd)
     dw = g_cols @ x_cols.T
-    db = np.sum(d_out, axis=(0, 2, 3))
+    db = d_out.sum(axis=(0, 2, 3))
     return dx, dw, db
 
 
@@ -228,10 +214,10 @@ def softmax_rows(s: np.ndarray, mask_diagonal: bool = False) -> np.ndarray:
         work = s
     if work.size == 0:
         return np.zeros(s.shape)
-    row_max = np.max(work, axis=-1, keepdims=True)
+    row_max = work.max(axis=-1, keepdims=True)
     e = np.exp(work - row_max)
-    totals = sum_ascending_values(e)
-    return e / totals[..., None]
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def softmax_vjp_from_probs(p: np.ndarray, d_p: np.ndarray) -> np.ndarray:
@@ -241,7 +227,7 @@ def softmax_vjp_from_probs(p: np.ndarray, d_p: np.ndarray) -> np.ndarray:
     P = 0, so their score gradient is exactly zero. Leading axes are batch
     axes.
     """
-    row_dot = np.sum(d_p * p, axis=-1, keepdims=True)
+    row_dot = (d_p * p).sum(axis=-1, keepdims=True)
     return p * (d_p - row_dot)
 
 
@@ -304,11 +290,7 @@ def tile_spatial_vjp(v: np.ndarray, h: int, w: int, d_out: np.ndarray):
         raise DimensionError(
             f"tile upstream gradient {d_out.shape}, expected {(n, c, h, w)}"
         )
-    acc = np.zeros((n, c))
-    for i in range(h):
-        for j in range(w):
-            acc += d_out[:, :, i, j]
-    return (acc,)
+    return (d_out.reshape(n, c, h * w).sum(axis=-1),)
 
 
 def concat_channels(x: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -95,9 +95,6 @@ class Prng:
         """Standard normal deviates via Box-Muller; consumes 2 uniforms each."""
         return uniforms_to_normals(self.uniforms(2 * count))
 
-    def normal(self) -> float:
-        return float(self.normals(1)[0])
-
     def randint(self, n: int) -> int:
         """Integer in [0, n)."""
         if n <= 0:

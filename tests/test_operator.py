@@ -498,6 +498,135 @@ class TestMultiImage:
             assert float(np.max(rel_err(g, numeric))) < 1e-6, name
 
 
+def shuffled_within_images(prng, counts):
+    """A seeded permutation of the rows that keeps every row in its image."""
+    pieces, start = [np.zeros(0, dtype=int)], 0
+    for c in counts:
+        pieces.append(start + np.array(prng.sample_indices(c, c), dtype=int))
+        start += c
+    return np.concatenate(pieces)
+
+
+def twin_blob(cfg, seed, picks, signed_zero=()):
+    """Rows drawn from a few distinct RoIs: ``picks[i]`` names row i's RoI.
+    Each (i, j) of ``signed_zero`` makes rows i and j equal except for one
+    element that is +0.0 in row i and -0.0 in row j."""
+    base = Prng(seed).normals(
+        (max(picks) + 1) * cfg.d * cfg.h * cfg.w
+    ).reshape(-1, cfg.d, cfg.h, cfg.w)
+    x = base[list(picks)].copy()
+    for i, j in signed_zero:
+        x[j] = x[i]
+        x[i, 0, 0, 0] = 0.0
+        x[j, 0, 0, 0] = -0.0
+    return x
+
+
+class TestCanonicalOrder:
+    """The N x N stages run in one canonical RoI order, so the forward and
+    dX are bitwise permutation-equivariant, also when RoIs repeat."""
+
+    def check(self, x, params, cfg, counts=None, seed=0, shuffles=10):
+        n = x.shape[0]
+        counts = (n,) if counts is None else counts
+        up = Prng(seed).normals(x.size + n * cfg.d_g * cfg.h * cfg.w).reshape(
+            n, cfg.d + cfg.d_g, cfg.h, cfg.w
+        )
+        out, cache = nlroi_forward(x, params, cfg, counts=counts)
+        dx, _ = nlroi_backward(cache, params, cfg, up)
+        prng = Prng(seed + 1)
+        for _ in range(shuffles):
+            pi = shuffled_within_images(prng, counts)
+            out_p, cache_p = nlroi_forward(x[pi], params, cfg, counts=counts)
+            dx_p, _ = nlroi_backward(cache_p, params, cfg, up[pi])
+            assert out_p.tobytes() == out[pi].tobytes()
+            assert dx_p.tobytes() == dx[pi].tobytes()
+        return out, cache
+
+    def test_dx_one_image(self):
+        for attend in (True, False):
+            cfg = small_config(attend_to_self=attend)
+            x, params = random_case(80, 9, cfg)
+            self.check(x, params, cfg, seed=81)
+            wide = NlRoiConfig(d=64, d_f=16, d_mid=16, d_g=16, h=7, w=7, attend_to_self=attend)
+            x, params = random_case(82, 37, wide)
+            self.check(x, params, wide, seed=83)
+            # a 9-column pooled kernel: rows of one BLAS product over all
+            # RoIs round differently by position at this shape
+            narrow = NlRoiConfig(d=16, d_f=4, d_mid=1, d_g=16, h=3, w=3, attend_to_self=attend)
+            for n in (5, 13, 37):
+                x, params = random_case(99 + n, n, narrow)
+                self.check(x, params, narrow, seed=100 + n)
+
+    def test_dx_multi_image_shuffled_within_images(self):
+        for attend in (True, False):
+            cfg = small_config(attend_to_self=attend)
+            counts = (3, 0, 5, 5, 2, 9)
+            x, params = random_case(84, sum(counts), cfg)
+            self.check(x, params, cfg, counts=counts, seed=85)
+
+    def test_twins(self):
+        """Runs of 2 and 3 identical RoIs, and identical RoIs in two images.
+        Twins get identical outputs, and the forward still matches the
+        oracle."""
+        picks = (0, 1, 0, 2, 0, 3, 1, 1, 2, 4, 5, 6, 7, 8, 9, 0, 0, 3, 3)
+        counts = (15, 4)
+        for attend in (True, False):
+            cfg = small_config(attend_to_self=attend)
+            _, params = random_case(86, 1, cfg)
+            x = twin_blob(cfg, 87, picks)
+            out, cache = self.check(x, params, cfg, counts=counts, seed=88)
+            assert out[0].tobytes() == out[2].tobytes() == out[4].tobytes()
+            assert out[15].tobytes() == out[16].tobytes()
+            ref = np.concatenate(
+                [nlroi_reference(x[:15], params, cfg), nlroi_reference(x[15:], params, cfg)]
+            )
+            assert np.max(np.abs(out - ref)) < 1e-9
+            if not attend:
+                for p in cache.attention[0][0], cache.attention[1][0]:
+                    assert not np.any(np.diag(p))
+
+    def test_twins_finite_differences(self):
+        """The gradients with twins are those of the defining sum: each twin
+        attends to the others of its run and, when masked, not to itself."""
+        for attend in (True, False):
+            cfg = NlRoiConfig(d=6, d_f=3, d_mid=3, d_g=4, h=2, w=2, attend_to_self=attend)
+            _, params = random_case(96, 1, cfg)
+            x = twin_blob(cfg, 97, (0, 1, 0, 2, 0, 3, 1))
+            proj = 1e-6 * Prng(98).normals(7 * 10 * 2 * 2).reshape(7, 10, 2, 2)
+            _, cache = nlroi_forward(x, params, cfg)
+            dx, dparams = nlroi_backward(cache, params, cfg, proj)
+
+            def loss(blob, p=params):
+                return np.sum(nlroi_forward(blob, p, cfg)[0] * proj)
+
+            assert float(np.max(rel_err(dx, finite_diff(loss, x, 1e-5)))) < 1e-6
+            for name, g in dparams.tensors():
+
+                def loss_of(t, name=name):
+                    trial = params.copy()
+                    setattr(trial, name, t)
+                    return loss(x, trial)
+
+                numeric = finite_diff(loss_of, getattr(params, name), 1e-5)
+                assert float(np.max(rel_err(g, numeric))) < 1e-6, name
+
+    def test_twins_at_larger_n(self):
+        # 300 RoIs, 120 distinct: runs of twins all along the canonical order
+        cfg = NlRoiConfig(d=8, d_f=4, d_mid=4, d_g=4, h=4, w=4, attend_to_self=False)
+        _, params = random_case(89, 1, cfg)
+        prng = Prng(90)
+        picks = [prng.randint(120) for _ in range(300)]
+        self.check(twin_blob(cfg, 91, picks), params, cfg, seed=92)
+
+    def test_signed_zero_pair(self):
+        for attend in (True, False):
+            cfg = small_config(attend_to_self=attend)
+            _, params = random_case(93, 1, cfg)
+            x = twin_blob(cfg, 94, tuple(range(10)), signed_zero=((2, 7),))
+            self.check(x, params, cfg, seed=95)
+
+
 class TestParamsContainer:
     def test_named_round_trip(self):
         p = init_params(small_config(), Prng(50))

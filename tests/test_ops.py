@@ -219,7 +219,6 @@ class TestSoftmaxRows:
             for k in range(5):
                 alone = ops.softmax_rows(s[k], mask_diagonal=mask)
                 assert stacked[k].tobytes() == alone.tobytes()
-        assert np.array_equal(ops.sum_ascending_values(s)[2], ops.sum_ascending_values(s[2]))
         with pytest.raises(DegenerateAttentionError):
             ops.softmax_rows(np.zeros((3, 1, 1)), mask_diagonal=True)
 
@@ -428,14 +427,6 @@ class TestDeterminism:
         first = ops.matmul(a, b)
         for _ in range(5):
             assert np.array_equal(ops.matmul(a, b), first)
-
-    def test_sorted_row_sum_is_permutation_invariant(self):
-        prng = Prng(31)
-        m = prng.normals(40).reshape(4, 10)
-        base = ops.sum_ascending_values(m)
-        for _ in range(20):
-            perm = prng.sample_indices(10, 10)
-            assert np.array_equal(ops.sum_ascending_values(m[:, perm]), base)
 
 
 def test_every_public_op_is_used_by_the_package():

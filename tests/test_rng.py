@@ -50,7 +50,7 @@ class TestDerivedDraws:
     def test_normals_match_scalar_path(self):
         a = Prng(11)
         b = Prng(11)
-        assert np.array_equal(a.normals(16), np.array([b.normal() for _ in range(16)]))
+        assert np.array_equal(a.normals(16), np.array([b.normals(1)[0] for _ in range(16)]))
 
     def test_normals_are_finite_and_centered(self):
         z = Prng(5).normals(20000)
