@@ -26,10 +26,11 @@ RoIs sorted by content (``_canonical_order``, one argsort per run of
 equal-count images). Relabeling an image's RoIs hands these stages the
 same arrays, so they may use any deterministic kernel, BLAS for the mix
 included, and the forward and the input gradient dX are bitwise
-permutation-equivariant. RoIs with equal bytes are identical; the stages
-give them identical results wherever the sort puts them. The parameter
-gradients sum over the RoIs in call order: they are deterministic, but a
-relabeling can move their last bits.
+permutation-equivariant. RoIs with equal bytes are identical; they get
+identical outputs wherever the sort puts them, and identical dX where
+their upstream rows are equal too. The parameter gradients sum over the
+RoIs in call order: they are deterministic, but a relabeling can move
+their last bits.
 
 Two scaling modes divide the raw dot products: the square root of the
 channel count D_f (per-channel, the default) or of the full flattened
@@ -295,40 +296,51 @@ def _canonical_order(x: np.ndarray, groups: tuple):
     """Returns (order, twins): the canonical row order of the N x N stages.
 
     Canonical row k is original row ``order[k]``: each image's RoIs in
-    ascending order of their first element, ties broken by their bytes;
-    images in call order. A RoI's position in the call then cannot change
-    what these stages compute. RoIs with equal bytes (twins) are identical,
-    and the stages must give them identical results wherever the sort puts
-    them: ``twins[g]`` is None, or index arrays (image, k, a) of group g's
-    stack, where canonical RoI k repeats RoI a, the first of its run of
-    twins.
+    ascending order of their bytes, images in call order. A RoI's position
+    in the call then cannot change what these stages compute. RoIs with
+    equal bytes (twins) are identical, and the stages must give them
+    identical results wherever the sort puts them: ``twins[g]`` is None, or
+    index arrays (k, a) into group g's canonical rows, where RoI k repeats
+    RoI a, the first of its run of twins.
     """
-    n, length = x.shape[0], math.prod(x.shape[1:])
-    rows = x.reshape(n, length)
-    order = np.empty(n, dtype=np.intp)
+    order = np.empty(x.shape[0], dtype=np.intp)
+    keys = _row_keys(x)
+    lead = x[:, 0, 0, 0]
     twins = []
     for row, images, rois in groups:
         end = row + images * rois
-        lead = rows[row:end, 0].reshape(images, rois)
-        offset = row + rois * np.arange(images)[:, None]
-        block = np.argsort(lead, axis=-1) + offset
-        twin = None
-        ranked = rows[block, 0]
-        if (ranked[:, 1:] == ranked[:, :-1]).any():
-            # equal first elements: order those RoIs by their bytes, which
-            # also puts twins next to each other
-            keys = rows[row:end].view(f"V{x.itemsize * length}").reshape(images, rois)
-            block = np.lexsort((keys, lead), axis=-1) + offset
-            ranked = keys.reshape(-1)[block - row]
-            same = ranked[:, 1:] == ranked[:, :-1]
-            image, k = np.nonzero(same)
-            if image.size:
-                # a run starts at the last column that differs from its left
-                start = np.maximum.accumulate(np.where(same, 0, np.arange(1, rois)), axis=-1)
-                twin = (image, k + 1, start[image, k])
+        block = np.argsort(keys[row:end].reshape(images, rois), axis=-1)
+        block += row + rois * np.arange(images)[:, None]
         order[row:end] = block.reshape(-1)
-        twins.append(twin)
+        ranked = order[row:end]
+        first = lead[ranked]
+        same = first[1:] == first[:-1]
+        # an image's first RoI has no left neighbour (a group of empty
+        # images has nothing to compare)
+        same[rois - 1 :: max(rois, 1)] = False
+        # twins: neighbours with equal first elements, then equal bytes
+        # (gathering every neighbour's bytes would copy the whole blob)
+        (k,) = np.nonzero(same)
+        same[k] = keys[ranked[k + 1]] == keys[ranked[k]]
+        twins.append(_repeats(same))
     return order, tuple(twins)
+
+
+def _row_keys(a: np.ndarray) -> np.ndarray:
+    """One void scalar per row of ``a``, holding the row's bytes."""
+    rows = np.ascontiguousarray(a).reshape(a.shape[0], math.prod(a.shape[1:]))
+    return rows.view(f"V{rows.itemsize * rows.shape[1]}")[:, 0]
+
+
+def _repeats(same: np.ndarray):
+    """None, or (k, a) where entry k repeats entry a, the first of its run;
+    ``same[k - 1]`` says entry k equals entry k - 1."""
+    (k,) = np.nonzero(same)
+    if not k.size:
+        return None
+    # a run starts at the last entry that differs from the one before
+    start = np.maximum.accumulate(np.where(same, 0, np.arange(1, same.size + 1)))
+    return k + 1, start[k]
 
 
 def _stacked(a: np.ndarray, row: int, images: int, rois: int) -> np.ndarray:
@@ -373,17 +385,18 @@ def nlroi_forward(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig, count
             k = int(np.argmin(np.isfinite(s).reshape(images, -1).all(axis=1)))
             _require_finite(s[k], f"attention score matrix of image {image + k}")
         attn = attention_weights(s, config.attend_to_self)
-        mixed = attn @ _stacked(g, row, images, rois)
+        mixed = (attn @ _stacked(g, row, images, rois)).reshape(-1, config.d_g)
         if twin is not None:
             # a twin copies the first RoI of its run: rows that differ only
             # in where the masked zero sits may round differently
-            b, k, a = twin
-            attn[b, k] = attn[b, a]
-            mixed[b, k] = mixed[b, a]
+            k, a = twin
+            rows = attn.reshape(-1, rois)
+            rows[k] = rows[a]
+            mixed[k] = mixed[a]
             if not config.attend_to_self:
-                attn[b, k, a] = attn[b, k, k]
-                attn[b, k, k] = 0.0
-        y_vec[order[row : row + images * rois]] = mixed.reshape(-1, config.d_g)
+                rows[k, a % rois] = rows[k, k % rois]
+                rows[k, k % rois] = 0.0
+        y_vec[order[row : row + images * rois]] = mixed
         raws.append(raw)
         attns.append(attn)
         image += images
@@ -500,24 +513,34 @@ def nlroi_reference(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig) -> 
     return out
 
 
-def _backward_order(cache: ForwardCache, d_y: np.ndarray) -> np.ndarray:
-    """The forward's canonical order, with each run of twins put in order
-    of their upstream bytes ``d_y``.
+def _backward_order(cache: ForwardCache, d_out: np.ndarray):
+    """Returns (order, copies): the forward's canonical order, with each
+    run of twins put in order of their upstream rows' bytes, and per run
+    of twins with equal upstream rows too, (rows, first row) to copy dX to.
 
     The backward sums over a run's rows, so their order must not depend on
     the call's; the cached tensors are the same for every order of a run.
+    Twins with equal upstream rows are indistinguishable, but their dX
+    rows may still round differently by their place in the run.
     """
     order = cache.order.copy()
+    copies = []
     for (row, images, rois), twin in zip(cache.groups, cache.twins):
         if twin is None:
             continue
-        b, k, a = twin
-        run = np.broadcast_to(np.arange(rois), (images, rois)).copy()
-        run[b, k] = a
-        rows = order[row : row + images * rois].reshape(images, rois)
-        keys = d_y[rows].view(f"V{d_y.itemsize * d_y.shape[1]}")[..., 0]
-        rows[:] = np.take_along_axis(rows, np.lexsort((keys, run), axis=-1), axis=-1)
-    return order
+        k, a = twin
+        run = np.arange(images * rois)
+        run[k] = a
+        rows = order[row : row + images * rois]
+        keys = _row_keys(d_out[rows])
+        by_key = np.lexsort((keys, run))
+        rows[:] = rows[by_key]
+        keys = keys[by_key]
+        repeat = _repeats((run[1:] == run[:-1]) & (keys[1:] == keys[:-1]))
+        if repeat is not None:
+            k, a = repeat
+            copies.append((rows[k], rows[a]))
+    return order, copies
 
 
 def nlroi_backward(
@@ -533,6 +556,7 @@ def nlroi_backward(
     VJPs run per group of the cache with batched products, in the forward's
     canonical order (``_backward_order``), and so does the pooled 3x3
     conv's VJP; their results go back to call order once per tensor.
+    Twins whose upstream rows are equal too get the dX of the first of them.
     Parameter gradients are summed over every image of the call.
     """
     x = cache.x
@@ -549,7 +573,7 @@ def nlroi_backward(
     d_x_pass, d_tile = ops.concat_channels_vjp(x, np.empty((n, d_g, h, w)), d_out)
     (d_y,) = ops.tile_spatial_vjp(cache.y_vec, h, w, d_tile)
 
-    order = _backward_order(cache, d_y)
+    order, copies = _backward_order(cache, d_out)
     d_y_canon = d_y[order]
     flat = cache.phi.shape[1]
     d_g_canon = np.empty((n, d_g))
@@ -562,8 +586,7 @@ def nlroi_backward(
             attn, _stacked(cache.g, row, images, rois), _stacked(d_y_canon, row, images, rois)
         )
         d_g_canon[row : row + images * rois] = d_g_stack.reshape(-1, d_g)
-        d_raw = ops.softmax_vjp_from_probs(attn, d_attn)
-        d_raw /= config.scale()
+        d_raw = ops.softmax_vjp_from_probs(attn, d_attn) / config.scale()
         # raw = Phi Psi^T
         d_phi[rows] = (d_raw @ _stacked(cache.psi, row, images, rois)).reshape(-1, flat)
         d_psi[rows] = (d_raw.transpose(0, 2, 1) @ _stacked(cache.phi, row, images, rois)).reshape(
@@ -586,10 +609,9 @@ def nlroi_backward(
     (d_g_pre,) = ops.relu_vjp(cache.g_pre, d_g_post)
     d_x_g, d_w_g1, d_b_g1 = ops.conv2d_1x1_vjp(x, params.w_g1, params.b_g1, d_g_pre)
 
-    d_x = d_x_pass
-    d_x += d_x_phi
-    d_x += d_x_psi
-    d_x += d_x_g
+    d_x = d_x_pass + d_x_phi + d_x_psi + d_x_g
+    for twins, first in copies:
+        d_x[twins] = d_x[first]
     grads = NlRoiParams(
         w_phi=d_w_phi,
         b_phi=d_b_phi,

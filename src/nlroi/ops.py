@@ -123,7 +123,7 @@ def conv2d_1x1_vjp(x: np.ndarray, w: np.ndarray, b: np.ndarray, d_out: np.ndarra
     g_cols = g.transpose(1, 0, 2).reshape(cout, n * h * wd)
     x_cols = x.reshape(n, cin, h * wd).transpose(1, 0, 2).reshape(cin, n * h * wd)
     dw = g_cols @ x_cols.T
-    db = d_out.sum(axis=(0, 2, 3))
+    db = np.sum(d_out, axis=(0, 2, 3))
     return dx, dw, db
 
 
@@ -214,9 +214,10 @@ def softmax_rows(s: np.ndarray, mask_diagonal: bool = False) -> np.ndarray:
         work = s
     if work.size == 0:
         return np.zeros(s.shape)
-    row_max = work.max(axis=-1, keepdims=True)
+    row_max = np.max(work, axis=-1, keepdims=True)
     e = np.exp(work - row_max)
-    e /= e.sum(axis=-1, keepdims=True)
+    # in place: one N x N array fewer at the forward's peak
+    e /= np.sum(e, axis=-1, keepdims=True)
     return e
 
 
@@ -227,7 +228,7 @@ def softmax_vjp_from_probs(p: np.ndarray, d_p: np.ndarray) -> np.ndarray:
     P = 0, so their score gradient is exactly zero. Leading axes are batch
     axes.
     """
-    row_dot = (d_p * p).sum(axis=-1, keepdims=True)
+    row_dot = np.sum(d_p * p, axis=-1, keepdims=True)
     return p * (d_p - row_dot)
 
 

@@ -526,12 +526,13 @@ class TestCanonicalOrder:
     """The N x N stages run in one canonical RoI order, so the forward and
     dX are bitwise permutation-equivariant, also when RoIs repeat."""
 
-    def check(self, x, params, cfg, counts=None, seed=0, shuffles=10):
+    def check(self, x, params, cfg, counts=None, seed=0, shuffles=10, up=None):
         n = x.shape[0]
         counts = (n,) if counts is None else counts
-        up = Prng(seed).normals(x.size + n * cfg.d_g * cfg.h * cfg.w).reshape(
-            n, cfg.d + cfg.d_g, cfg.h, cfg.w
-        )
+        if up is None:
+            up = Prng(seed).normals(x.size + n * cfg.d_g * cfg.h * cfg.w).reshape(
+                n, cfg.d + cfg.d_g, cfg.h, cfg.w
+            )
         out, cache = nlroi_forward(x, params, cfg, counts=counts)
         dx, _ = nlroi_backward(cache, params, cfg, up)
         prng = Prng(seed + 1)
@@ -585,6 +586,46 @@ class TestCanonicalOrder:
             if not attend:
                 for p in cache.attention[0][0], cache.attention[1][0]:
                     assert not np.any(np.diag(p))
+
+    def test_twin_across_images_of_one_group(self):
+        """A RoI in two images of equal counts, last of the first image and
+        first of the second in byte order: each image still attends only
+        to its own RoIs."""
+        for attend in (True, False):
+            cfg = small_config(attend_to_self=attend)
+            _, params = random_case(115, 1, cfg)
+            pool = twin_blob(cfg, 116, range(5))
+            rows = pool.reshape(5, -1)
+            s = np.argsort(rows.view(f"V{rows.itemsize * rows.shape[1]}")[:, 0])
+            x = pool[[s[1], s[2], s[0], s[3], s[2], s[4]]]
+            out, _ = self.check(x, params, cfg, counts=(3, 3), seed=117)
+            alone = [nlroi_forward(x[i : i + 3], params, cfg)[0] for i in (0, 3)]
+            assert out.tobytes() == np.concatenate(alone).tobytes()
+
+    def test_twins_with_equal_upstream(self):
+        """Twins whose upstream rows are equal too, in the g channels only
+        or in every channel: dX stays equivariant, and fully equal twins
+        get equal dX."""
+        picks = (0, 1, 0, 2, 0, 3, 1, 1, 2, 4, 5, 0, 6, 7, 0, 8, 9)
+        for attend in (True, False):
+            for n in (17, 40):
+                cfg = NlRoiConfig(d=8, d_f=4, d_mid=4, d_g=4, h=4, w=4, attend_to_self=attend)
+                _, params = random_case(110 + n, 1, cfg)
+                rows = picks * (n // len(picks)) + picks[: n % len(picks)]
+                x = twin_blob(cfg, 111 + n, rows)
+                up = Prng(112 + n).normals(x.shape[0] * (cfg.d + cfg.d_g) * 16).reshape(
+                    x.shape[0], cfg.d + cfg.d_g, 4, 4
+                )
+                first = {}
+                for i, r in enumerate(rows):
+                    up[i, cfg.d :] = up[first.setdefault(r, i), cfg.d :]
+                self.check(x, params, cfg, seed=113 + n, up=up.copy())
+                for i, r in enumerate(rows):
+                    up[i] = up[first[r]]
+                _, cache = self.check(x, params, cfg, seed=114 + n, up=up)
+                dx, _ = nlroi_backward(cache, params, cfg, up)
+                for i, r in enumerate(rows):
+                    assert dx[i].tobytes() == dx[first[r]].tobytes()
 
     def test_twins_finite_differences(self):
         """The gradients with twins are those of the defining sum: each twin
