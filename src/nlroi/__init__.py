@@ -2,7 +2,7 @@
 attends to every other, mixing per-RoI embeddings into an appended feature
 channel block. Pure numpy, 64-bit, bit-reproducible."""
 
-from .bench import BenchRecord, SizeTuple, fit_scaling_exponent, run_bench
+from .bench import fit_scaling_exponent, run_bench
 from .config import ConfigFile, parse_config
 from .errors import (
     ConfigError,
@@ -44,7 +44,6 @@ from .weights import load_weights, save_weights
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchRecord",
     "ConfigError",
     "ConfigFile",
     "DegenerateAttentionError",
@@ -62,7 +61,6 @@ __all__ = [
     "Scaling",
     "Scene",
     "SceneSpec",
-    "SizeTuple",
     "ToyModel",
     "WeightsCorruptionError",
     "WeightsFormatError",

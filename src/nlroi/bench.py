@@ -23,30 +23,10 @@ from .operator import NlRoiConfig, init_params, nlroi_backward, nlroi_forward
 from .rng import Prng
 
 
-@dataclass(frozen=True)
-class SizeTuple:
-    n: int
-    d: int
-    d_f: int
-    d_g: int
-    h: int
-    w: int
-
-    def config(self) -> NlRoiConfig:
-        # the record format carries no separate mid width; use the phi/psi width
-        return NlRoiConfig(
-            d=self.d, d_f=self.d_f, d_mid=self.d_f, d_g=self.d_g, h=self.h, w=self.w
-        )
-
-
 @dataclass
 class BenchRecord:
     n: int
-    d: int
-    d_f: int
-    d_g: int
-    h: int
-    w: int
+    config: NlRoiConfig
     reps: int
     forward_ms: float
     backward_ms: float
@@ -56,7 +36,7 @@ class BenchRecord:
 # detector-scale run would feed the operator, with sizes small enough that
 # the N x N stage dominates.
 DEFAULT_SWEEP = tuple(
-    SizeTuple(n=n, d=8, d_f=4, d_g=4, h=4, w=4) for n in (64, 128, 256, 512, 1024)
+    (n, NlRoiConfig(d=8, d_f=4, d_mid=4, d_g=4, h=4, w=4)) for n in (64, 128, 256, 512, 1024)
 )
 
 MIN_REPS = 5
@@ -70,21 +50,18 @@ def _time_once(fn) -> float:
 
 
 def run_bench(grid, reps: int, seed: int) -> list:
-    """Median forward/backward milliseconds for every size tuple, in order."""
+    """Median forward/backward milliseconds for every (n, config) pair of
+    ``grid``, in order."""
     if reps < MIN_REPS:
         raise ValueError(f"reps must be >= {MIN_REPS}, got {reps}")
     prng = Prng(seed)
     records = []
-    for size in grid:
-        config = size.config()
+    for n, config in grid:
+        d, h, w = config.d, config.h, config.w
         try:
             params = init_params(config, prng)
-            x = prng.normals(size.n * size.d * size.h * size.w).reshape(
-                size.n, size.d, size.h, size.w
-            )
-            d_out = prng.normals(
-                size.n * (size.d + size.d_g) * size.h * size.w
-            ).reshape(size.n, size.d + size.d_g, size.h, size.w)
+            x = prng.normals(n * d * h * w).reshape(n, d, h, w)
+            d_out = prng.normals(n * (d + config.d_g) * h * w).reshape(n, -1, h, w)
 
             for _ in range(WARMUPS):
                 out, cache = nlroi_forward(x, params, config)
@@ -104,19 +81,9 @@ def run_bench(grid, reps: int, seed: int) -> list:
                 for _ in range(reps)
             ]
         except MemoryError as exc:
-            raise ResourceError(f"allocation failed for size tuple {size}") from exc
+            raise ResourceError(f"allocation failed for n={n} {config}") from exc
         records.append(
-            BenchRecord(
-                n=size.n,
-                d=size.d,
-                d_f=size.d_f,
-                d_g=size.d_g,
-                h=size.h,
-                w=size.w,
-                reps=reps,
-                forward_ms=statistics.median(fwd),
-                backward_ms=statistics.median(bwd),
-            )
+            BenchRecord(n, config, reps, statistics.median(fwd), statistics.median(bwd))
         )
     return records
 
@@ -124,13 +91,13 @@ def run_bench(grid, reps: int, seed: int) -> list:
 def fit_scaling_exponent(records) -> float:
     """Least-squares slope of log(forward_ms) against log(N).
 
-    Needs at least 4 records with distinct N and identical remaining sizes.
+    Needs at least 4 records with distinct N and one operator config.
     """
     if not records:
         raise InsufficientDataError("no records to fit")
-    fixed = {(r.d, r.d_f, r.d_g, r.h, r.w) for r in records}
-    if len(fixed) != 1:
-        raise ValueError(f"records mix non-N sizes: {sorted(fixed)}")
+    configs = {r.config for r in records}
+    if len(configs) != 1:
+        raise ValueError(f"records mix operator configs: {sorted(map(str, configs))}")
     if len({r.n for r in records}) < 4:
         raise InsufficientDataError(
             f"need >= 4 distinct N values, got {sorted({r.n for r in records})}"
@@ -148,8 +115,9 @@ CSV_HEADER = "n,d,d_f,d_g,h,w,reps,forward_ms,backward_ms"
 def emit_csv(records, stream) -> None:
     print(CSV_HEADER, file=stream)
     for r in records:
+        c = r.config
         print(
-            f"{r.n},{r.d},{r.d_f},{r.d_g},{r.h},{r.w},{r.reps},"
+            f"{r.n},{c.d},{c.d_f},{c.d_g},{c.h},{c.w},{r.reps},"
             f"{r.forward_ms:.3f},{r.backward_ms:.3f}",
             file=stream,
         )

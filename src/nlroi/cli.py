@@ -146,6 +146,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _load_config(args)
+    if args.scenes < 1:
+        raise ConfigError(f"--scenes must be >= 1, got {args.scenes}")
     model = _model_from_weights(load_weights(args.weights), cfg)
     acc = evaluate(model, scenes=args.scenes, seed=_seed(args, cfg))
     print(f"ACCURACY {acc:.6f}")
@@ -177,6 +179,8 @@ def _cmd_oracle_diff(args) -> int:
     import numpy as np
 
     cfg = _load_config(args)
+    if args.count < 1:
+        raise ConfigError(f"--count must be >= 1, got {args.count}")
     prng = Prng(_seed(args, cfg))
     worst, where = 0.0, None
     for i in range(args.count):

@@ -140,13 +140,6 @@ class NlRoiParams:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise DimensionError(f"{name} contains non-finite values")
 
-    def copy(self) -> "NlRoiParams":
-        return NlRoiParams(**{n: getattr(self, n).copy() for n in _PARAM_ORDER})
-
-    @classmethod
-    def zeros_like(cls, other: "NlRoiParams") -> "NlRoiParams":
-        return cls(**{n: np.zeros_like(getattr(other, n)) for n in _PARAM_ORDER})
-
 
 @dataclass
 class ForwardCache:

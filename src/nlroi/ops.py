@@ -26,6 +26,10 @@ reductions. Sums over RoIs (the weight and bias gradients) take the RoIs
 in the order given, so reordering the RoIs can change their last bits: a
 BLAS reduction's order depends on the operands' sizes and on where an
 element falls in the blocking.
+
+A VJP result may be a view of its upstream gradient (``concat_channels_vjp``
+returns the two channel slices of ``d_out``), so a caller that writes into
+a result writes into the upstream too.
 """
 
 from __future__ import annotations
@@ -243,38 +247,6 @@ def relu_vjp(x: np.ndarray, d_out: np.ndarray):
     return (d_out * (x > 0.0),)
 
 
-def global_avg_pool(x: np.ndarray) -> np.ndarray:
-    """Mean over the two trailing spatial axes: (N,C,H,W) -> (N,C).
-
-    Uses a running mean, m_k = m_{k-1} + (x_k - m_{k-1}) / k, over positions
-    in ascending (h, w) order. On a constant map the increment is exactly
-    zero at every step, so pooling inverts tile_spatial bit for bit (a
-    summed-then-divided mean would round for counts like 3 or 15).
-    """
-    x = _as_f64(x)
-    _require_rank(x, 4, "pool input")
-    n, c, h, w = x.shape
-    if h * w == 0:
-        raise DimensionError(f"cannot pool over empty spatial extent {x.shape}")
-    mean = x[:, :, 0, 0].copy()
-    k = 1
-    for i in range(h):
-        for j in range(w):
-            if i == 0 and j == 0:
-                continue
-            k += 1
-            mean += (x[:, :, i, j] - mean) / k
-    return mean
-
-
-def global_avg_pool_vjp(x: np.ndarray, d_out: np.ndarray):
-    n, c, h, w = x.shape
-    if d_out.shape != (n, c):
-        raise DimensionError(f"pool upstream gradient {d_out.shape}, expected {(n, c)}")
-    spread = d_out / (h * w)
-    return (np.repeat(spread, h * w, axis=1).reshape(x.shape),)
-
-
 def tile_spatial(v: np.ndarray, h: int, w: int) -> np.ndarray:
     """Broadcast (N,C) to (N,C,H,W) by copying each value across positions."""
     v = _as_f64(v)
@@ -312,5 +284,5 @@ def concat_channels_vjp(x: np.ndarray, t: np.ndarray, d_out: np.ndarray):
         raise DimensionError(
             f"concat upstream gradient {d_out.shape}, expected {expected}"
         )
-    return d_out[:, :d].copy(), d_out[:, d:].copy()
+    return d_out[:, :d], d_out[:, d:]
 

@@ -72,10 +72,6 @@ class Prng:
         z = (z ^ (z >> 27)) * _MIX2 & _MASK64
         return z ^ (z >> 31)
 
-    def uniform(self) -> float:
-        """One double in [0, 1) from the top 53 bits of the next output."""
-        return (self.next_u64() >> 11) * _TWO53_INV
-
     def u64s(self, count: int) -> np.ndarray:
         """`count` raw outputs (uint64), bit-identical to next_u64() in a loop."""
         ks = np.arange(1, count + 1, dtype=np.uint64)
@@ -85,7 +81,8 @@ class Prng:
         return _mix_array(ks)
 
     def uniforms(self, count: int) -> np.ndarray:
-        """`count` uniform doubles, bit-identical to calling uniform() in a loop."""
+        """`count` uniform doubles, the top 53 bits of each of ``count``
+        next_u64() outputs times 2**-53."""
         return raw_to_uniforms(self.u64s(count))
 
     def uniforms_in(self, count: int, lo: float, hi: float) -> np.ndarray:

@@ -20,8 +20,11 @@ from one block of PRNG outputs, which gives exactly the scenes that one
 ``generate_scene`` call per scene gives, and goes through the model in one
 call: the nlroi variant puts the scenes' RoIs into one blob and makes one
 operator forward and one backward, with each scene as a separate image, so
-RoIs attend only within their own scene. The baseline variant takes each
-RoI's noisy one-hot row as its pooled row and never builds the blob.
+RoIs attend only within their own scene. Every map the head pools is
+spatially constant (the features replicate a row, and the operator appends
+a tiled vector), so its pooled row is its value at any position: the nlroi
+variant reads position (0, 0) of the operator output, and the baseline
+takes each RoI's noisy one-hot row and never builds the blob.
 """
 
 from __future__ import annotations
@@ -202,22 +205,20 @@ def _head_inputs(model: ToyModel, prng: Prng, scenes: int):
     """Draw ``scenes`` scenes in one block and compute the head's input rows.
 
     The nlroi variant replicates the rows over H x W once and runs all the
-    scenes' RoIs through one operator forward, one image per scene, then
-    pools its output. The baseline uses the rows themselves: pooling a
-    replicated map gives back its value bit for bit, except that a -0.0
-    map pools to +0.0 once a second position is added, which ``+ 0.0``
-    reproduces. Returns (pooled rows, labels, RoIs per scene, operator
-    cache or None).
+    scenes' RoIs through one operator forward, one image per scene; its
+    output is spatially constant, so position (0, 0) is the pooled row. The
+    baseline uses the rows themselves. Returns (pooled rows, labels, RoIs
+    per scene, operator cache or None).
     """
     spec = model.spec
     rows, _, labels = _draw_scenes(prng, spec, scenes)
     counts = [spec.n] * scenes
     if model.nlroi_config is None:
-        return (rows + 0.0 if spec.h * spec.w > 1 else rows), labels, counts, None
+        return rows, labels, counts, None
     feats, cache = nlroi_forward(
         _replicate(rows, spec), model.nlroi_params, model.nlroi_config, counts
     )
-    return ops.global_avg_pool(feats), labels, counts, cache
+    return feats[:, :, 0, 0], labels, counts, cache
 
 
 def head_logits(model: ToyModel, pooled: np.ndarray) -> np.ndarray:
@@ -292,10 +293,9 @@ def train(
         loss, d_logits = _cross_entropy(head_logits(model, pooled), labels, counts)
         grads = {"w_head": d_logits.T @ pooled, "b_head": np.sum(d_logits, axis=0)}
         if cache is not None:
-            (d_feats,) = ops.global_avg_pool_vjp(
-                np.empty((pooled.shape[0], pooled.shape[1], spec.h, spec.w)),
-                d_logits @ model.w_head,
-            )
+            # the pool's VJP: each row's gradient spread evenly over H x W
+            d_pooled = d_logits @ model.w_head / (spec.h * spec.w)
+            d_feats = ops.tile_spatial(d_pooled, spec.h, spec.w)
             _, d_nlroi = nlroi_backward(cache, model.nlroi_params, model.nlroi_config, d_feats)
             grads.update(d_nlroi.tensors())
         step_loss = loss / hyper.scenes_per_step
@@ -315,6 +315,8 @@ def train(
 def evaluate(model: ToyModel, scenes: int, seed: int) -> float:
     """Mean per-RoI accuracy over freshly generated scenes, which go through
     the model in chunks of a few scenes per call."""
+    if scenes < 1:
+        raise ValueError(f"scenes must be >= 1, got {scenes}")
     prng = Prng((seed ^ _EVAL_SEED_SALT) & _MASK64)
     correct = 0
     total = 0

@@ -1,5 +1,6 @@
 """Benchmark records, the log-log fit, and CSV emission."""
 
+import dataclasses
 import io
 import math
 
@@ -9,19 +10,21 @@ from nlroi.bench import (
     CSV_HEADER,
     DEFAULT_SWEEP,
     BenchRecord,
-    SizeTuple,
     emit_csv,
     fit_scaling_exponent,
     run_bench,
 )
 from nlroi.errors import InsufficientDataError
+from nlroi.operator import NlRoiConfig
+
+SWEEP_OP = NlRoiConfig(d=8, d_f=4, d_mid=4, d_g=4, h=4, w=4)
+SMALL_OP = NlRoiConfig(d=4, d_f=2, d_mid=2, d_g=2, h=2, w=2)
 
 
 def synthetic_records(times):
     """Records differing only in n, with forward_ms taken from ``times``."""
     return [
-        BenchRecord(n=n, d=8, d_f=4, d_g=4, h=4, w=4, reps=5,
-                    forward_ms=t, backward_ms=2 * t)
+        BenchRecord(n=n, config=SWEEP_OP, reps=5, forward_ms=t, backward_ms=2 * t)
         for n, t in times
     ]
 
@@ -53,14 +56,15 @@ class TestFit:
             fit_scaling_exponent([])
 
     def test_mixed_non_n_dimensions_rejected(self):
-        recs = synthetic_records([(n, float(n * n)) for n in (8, 16, 32, 64)])
-        recs[2].d = 16
-        with pytest.raises(ValueError):
-            fit_scaling_exponent(recs)
+        for change in (dict(d=16), dict(attend_to_self=False)):
+            recs = synthetic_records([(n, float(n * n)) for n in (8, 16, 32, 64)])
+            recs[2].config = dataclasses.replace(recs[2].config, **change)
+            with pytest.raises(ValueError):
+                fit_scaling_exponent(recs)
 
 
 class TestRunBench:
-    SMALL = tuple(SizeTuple(n=n, d=4, d_f=2, d_g=2, h=2, w=2) for n in (4, 8, 16, 32))
+    SMALL = tuple((n, SMALL_OP) for n in (4, 8, 16, 32))
 
     def test_rejects_thin_sampling(self):
         with pytest.raises(ValueError):
@@ -68,9 +72,7 @@ class TestRunBench:
 
     def test_records_match_grid(self):
         recs = run_bench(self.SMALL, reps=5, seed=0)
-        assert [(r.n, r.d, r.d_f, r.d_g, r.h, r.w) for r in recs] == [
-            (s.n, s.d, s.d_f, s.d_g, s.h, s.w) for s in self.SMALL
-        ]
+        assert [(r.n, r.config) for r in recs] == list(self.SMALL)
         for r in recs:
             assert r.reps == 5
             assert r.forward_ms > 0.0
@@ -84,16 +86,12 @@ class TestRunBench:
 
     def test_growth_over_strong_doubling(self):
         # 16x in N through the quadratic stage must cost measurably more
-        grid = (
-            SizeTuple(n=32, d=4, d_f=2, d_g=2, h=2, w=2),
-            SizeTuple(n=512, d=4, d_f=2, d_g=2, h=2, w=2),
-        )
+        grid = ((32, SMALL_OP), (512, SMALL_OP))
         recs = run_bench(grid, reps=5, seed=2)
         assert recs[1].forward_ms > recs[0].forward_ms
 
     def test_default_sweep_shape(self):
-        assert [s.n for s in DEFAULT_SWEEP] == [64, 128, 256, 512, 1024]
-        assert len({(s.d, s.d_f, s.d_g, s.h, s.w) for s in DEFAULT_SWEEP}) == 1
+        assert DEFAULT_SWEEP == tuple((n, SWEEP_OP) for n in (64, 128, 256, 512, 1024))
 
 
 class TestCsv:

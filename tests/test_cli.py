@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nlroi.cli import main
+from nlroi.operator import NlRoiConfig
 from nlroi.weights import load_weights, save_weights
 
 FAST_TRAIN = "\n".join(
@@ -23,6 +24,9 @@ FAST_TRAIN = "\n".join(
         "scenes_per_step = 2",
     ]
 )
+
+# the bench's operator at its smallest useful size
+TINY_OP = NlRoiConfig(d=4, d_f=2, d_mid=2, d_g=2, h=2, w=2)
 
 GRID_SMALL = "\n".join(["d = 6", "d_f = 3", "d_mid = 3", "d_g = 4", "h = 2", "w = 2", "n = 4"])
 
@@ -60,6 +64,15 @@ class TestOracleDiffCommand:
         value = float(captured.out.strip())
         assert 0.0 <= value < 1e-9
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_rejects_count_below_one(self, capsys, count):
+        # a run that checks no configuration must not report a pass
+        rc = main(["oracle-diff", "--count", count])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: --count must be >= 1")
+
     def test_worst_case_named_on_stderr(self, capsys):
         from nlroi.cli import _random_oracle_case
         from nlroi.operator import nlroi_forward, nlroi_reference
@@ -85,9 +98,8 @@ class TestBenchCommand:
     def test_csv_to_stdout(self, capsys, monkeypatch):
         # shrink the sweep so the test stays fast
         import nlroi.cli as cli
-        from nlroi.bench import SizeTuple
 
-        tiny = tuple(SizeTuple(n=n, d=4, d_f=2, d_g=2, h=2, w=2) for n in (4, 8))
+        tiny = tuple((n, TINY_OP) for n in (4, 8))
         monkeypatch.setattr(cli, "DEFAULT_SWEEP", tiny)
         rc = main(["bench", "--seed", "0"])
         captured = capsys.readouterr()
@@ -99,11 +111,8 @@ class TestBenchCommand:
 
     def test_csv_to_file(self, tmp_path, capsys, monkeypatch):
         import nlroi.cli as cli
-        from nlroi.bench import SizeTuple
 
-        monkeypatch.setattr(
-            cli, "DEFAULT_SWEEP", (SizeTuple(n=4, d=4, d_f=2, d_g=2, h=2, w=2),)
-        )
+        monkeypatch.setattr(cli, "DEFAULT_SWEEP", ((4, TINY_OP),))
         out = tmp_path / "bench.csv"
         rc = main(["bench", "--out", str(out)])
         captured = capsys.readouterr()
@@ -149,6 +158,17 @@ class TestTrainEval:
         rc = main(["eval", "--weights", "/nonexistent/w.bin", "--config", fast_config])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenes", ["0", "-1"])
+    def test_eval_rejects_scenes_below_one(self, tmp_path, capsys, fast_config, scenes):
+        weights = str(tmp_path / "w.bin")
+        assert main(["init", "--config", fast_config, "--out", weights]) == 0
+        capsys.readouterr()
+        rc = main(["eval", "--weights", weights, "--config", fast_config, "--scenes", scenes])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: --scenes must be >= 1")
 
     def test_eval_rejects_mismatched_head(self, tmp_path, capsys, fast_config):
         bad = tmp_path / "bad.bin"

@@ -1,5 +1,6 @@
 """The attention operator: forward, reference oracle, backward, invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -459,7 +460,7 @@ class TestMultiImage:
             up = Prng(70 + seed).normals(sum(counts) * 13 * 9).reshape(-1, 13, 3, 3)
             _, cache = nlroi_forward(x, params, cfg, counts=counts)
             dx, dparams = nlroi_backward(cache, params, cfg, up)
-            summed = NlRoiParams.zeros_like(params)
+            summed = NlRoiParams(**{n: np.zeros_like(t) for n, t in params.tensors()})
             for rows in split_rows(counts):
                 _, alone = nlroi_forward(x[rows], params, cfg)
                 dx_alone, d_alone = nlroi_backward(alone, params, cfg, up[rows])
@@ -490,9 +491,7 @@ class TestMultiImage:
         for name, g in dparams.tensors():
 
             def loss_of(t, name=name):
-                trial = params.copy()
-                setattr(trial, name, t)
-                return loss(x, trial)
+                return loss(x, dataclasses.replace(params, **{name: t}))
 
             numeric = finite_diff(loss_of, getattr(params, name), 1e-5)
             assert float(np.max(rel_err(g, numeric))) < 1e-6, name
@@ -645,9 +644,7 @@ class TestCanonicalOrder:
             for name, g in dparams.tensors():
 
                 def loss_of(t, name=name):
-                    trial = params.copy()
-                    setattr(trial, name, t)
-                    return loss(x, trial)
+                    return loss(x, dataclasses.replace(params, **{name: t}))
 
                 numeric = finite_diff(loss_of, getattr(params, name), 1e-5)
                 assert float(np.max(rel_err(g, numeric))) < 1e-6, name

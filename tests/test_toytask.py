@@ -28,6 +28,14 @@ SPEC = SceneSpec(n=8, k=4, d=16, h=3, w=3)
 OP = NlRoiConfig(d=16, d_f=4, d_mid=4, d_g=4, h=3, w=3)
 
 
+def pool(feats):
+    """Global average pool of maps that must be spatially constant bit for
+    bit: the value at position (0, 0)."""
+    corner = feats[:, :, :1, :1]
+    assert feats.tobytes() == np.broadcast_to(corner, feats.shape).tobytes()
+    return feats[:, :, 0, 0]
+
+
 class TestMajorityCount:
     def test_exact_table(self):
         # ceil(0.6*n) for the sizes a scene can take
@@ -153,24 +161,33 @@ class TestBlockDraw:
                     assert a.next_u64() == b.next_u64()
 
     def test_baseline_rows_equal_pooled_features(self):
-        # the reference pools each scene's features with ops.global_avg_pool,
-        # as the baseline did before it stopped building them; sigma=0 gives
-        # -0.0 entries, which pool to +0.0 when H*W > 1 and stay -0.0 at 1x1
+        # the head's rows are the pooled maps that one generate_scene per
+        # scene (and, for nlroi, one operator forward over them) gives; pool()
+        # also checks that every such map is spatially constant. sigma=0
+        # gives -0.0 entries, and the rows keep them
         for h, w in ((1, 1), (1, 2), (3, 3), (3, 5)):
             for sigma in (0.1, 0.0):
                 spec = SceneSpec(n=8, k=4, d=6, h=h, w=w, sigma=sigma)
-                model = init_model(spec, None, Prng(3))
-                for count in (1, 8):
-                    a, b = Prng(77 + count), Prng(77 + count)
-                    pooled, labels, counts, cache = _head_inputs(model, a, count)
-                    want = np.concatenate([
-                        ops.global_avg_pool(generate_scene(b, spec).features)
-                        for _ in range(count)])
-                    assert pooled.tobytes() == want.tobytes(), (h, w, sigma)
-                    assert counts == [8] * count and cache is None
-                    assert a.next_u64() == b.next_u64()
-        # sigma=0 rows do hold -0.0 entries, so that case is exercised
-        assert np.signbit(_draw_scenes(Prng(5), SceneSpec(8, 4, 6, 3, 3, 0.0), 1)[0]).any()
+                op = NlRoiConfig(d=6, d_f=3, d_mid=3, d_g=2, h=h, w=w)
+                for config in (None, op):
+                    model = init_model(spec, config, Prng(3))
+                    for count in (1, 8):
+                        a, b = Prng(77 + count), Prng(77 + count)
+                        pooled, labels, counts, cache = _head_inputs(model, a, count)
+                        feats = np.concatenate(
+                            [generate_scene(b, spec).features for _ in range(count)])
+                        if config is not None:
+                            feats, _ = nlroi_forward(feats, model.nlroi_params, op, counts)
+                        want = pool(feats)
+                        assert pooled.tobytes() == want.tobytes(), (h, w, sigma, config)
+                        mean = np.mean(feats, axis=(2, 3))
+                        assert np.allclose(pooled, mean, rtol=1e-14, atol=0.0)
+                        assert counts == [8] * count
+                        assert (cache is None) == (config is None)
+                        assert a.next_u64() == b.next_u64()
+                        if sigma == 0.0:
+                            # -0.0 entries are there, so that case is exercised
+                            assert np.signbit(pooled[pooled == 0.0]).any()
 
 
 def head_inputs_per_scene(model, prng, scenes):
@@ -179,7 +196,7 @@ def head_inputs_per_scene(model, prng, scenes):
     for _ in range(scenes):
         scene = generate_scene(prng, model.spec)
         if model.nlroi_config is None:
-            rows.append(ops.global_avg_pool(scene.features))
+            rows.append(pool(scene.features))
         else:
             rows.append(scene.features)
         labels.append(scene.labels)
@@ -190,7 +207,7 @@ def head_inputs_per_scene(model, prng, scenes):
     feats, cache = nlroi_forward(
         np.concatenate(rows), model.nlroi_params, model.nlroi_config, counts
     )
-    return ops.global_avg_pool(feats), labels, counts, cache
+    return pool(feats), labels, counts, cache
 
 
 def train_per_scene(variant, hyper, seed):
@@ -210,7 +227,7 @@ def train_per_scene(variant, hyper, seed):
             feats, cache = scene.features, None
             if model.nlroi_params is not None:
                 feats, cache = nlroi_forward(feats, model.nlroi_params, OP)
-            pooled = ops.global_avg_pool(feats)
+            pooled = pool(feats)
             logits = ops.matmul(pooled, model.w_head.T) + model.b_head
             n = logits.shape[0]
             shifted = logits - np.max(logits, axis=1, keepdims=True)
@@ -222,7 +239,8 @@ def train_per_scene(variant, hyper, seed):
             grads["w_head"] += ops.matmul(d_logits.T, pooled)
             grads["b_head"] += np.sum(d_logits, axis=0)
             if cache is not None:
-                (d_feats,) = ops.global_avg_pool_vjp(feats, ops.matmul(d_logits, model.w_head))
+                d_pooled = ops.matmul(d_logits, model.w_head) / (SPEC.h * SPEC.w)
+                d_feats = ops.tile_spatial(d_pooled, SPEC.h, SPEC.w)
                 _, d_params = nlroi_backward(cache, model.nlroi_params, OP, d_feats)
                 for name, g in d_params.tensors():
                     grads[name] += g
@@ -263,7 +281,7 @@ class TestBatchedSteps:
                     feats = scene.features
                     if variant_model.nlroi_params is not None:
                         feats, _ = nlroi_forward(feats, variant_model.nlroi_params, OP)
-                    logits = ops.matmul(ops.global_avg_pool(feats), variant_model.w_head.T)
+                    logits = ops.matmul(pool(feats), variant_model.w_head.T)
                     preds = np.argmax(logits + variant_model.b_head, axis=1)
                     correct += int(np.sum(preds == scene.labels))
                 assert evaluate(variant_model, scenes, seed=98) == correct / (scenes * 8)
@@ -313,7 +331,7 @@ class TestModel:
         model = init_model(SPEC, OP, Prng(70))
         scene = generate_scene(Prng(71), SPEC)
         out, _ = nlroi_forward(scene.features, model.nlroi_params, OP)
-        logits = head_logits(model, ops.global_avg_pool(out))
+        logits = head_logits(model, pool(out))
         assert np.array_equal(logits, np.zeros((8, 4)))
 
     def test_untrained_accuracy_near_chance(self):
@@ -322,6 +340,12 @@ class TestModel:
         # uniform over K, so accuracy concentrates near 1/K
         acc = evaluate(model, scenes=400, seed=73)
         assert abs(acc - 0.25) < 0.05
+
+    def test_evaluate_rejects_fewer_than_one_scene(self):
+        model = init_model(SPEC, None, Prng(72))
+        for scenes in (0, -1):
+            with pytest.raises(ValueError, match="scenes must be >= 1"):
+                evaluate(model, scenes=scenes, seed=73)
 
     def test_baseline_variant_has_no_operator(self):
         model = init_model(SPEC, None, Prng(74))
