@@ -544,8 +544,9 @@ def nlroi_backward(
 ):
     """Exact reverse-mode gradients. Returns (dX, NlRoiParams of gradients).
 
-    dX collects four contributions in fixed order: the concat pass-through,
-    the phi path, the psi path, and the g path. The mix, softmax and score
+    dX is the concat pass-through plus one stacked 1x1 VJP: phi, psi and
+    g1 read the same x, so their upstreams share one buffer and one call
+    gives their dX as one product per RoI. The mix, softmax and score
     VJPs run per group of the cache with batched products, in the forward's
     canonical order (``_backward_order``), and so does the pooled 3x3
     conv's VJP; their results go back to call order once per tensor.
@@ -554,7 +555,7 @@ def nlroi_backward(
     """
     x = cache.x
     n = x.shape[0]
-    d, d_g = config.d, config.d_g
+    d, d_f, d_g = config.d, config.d_f, config.d_g
     h, w = config.h, config.w
     d_out = np.asarray(d_out, dtype=np.float64)
     if d_out.shape != (n, d + d_g, h, w):
@@ -566,12 +567,13 @@ def nlroi_backward(
     d_x_pass, d_tile = ops.concat_channels_vjp(x, np.empty((n, d_g, h, w)), d_out)
     (d_y,) = ops.tile_spatial_vjp(cache.y_vec, h, w, d_tile)
 
+    # phi, psi and g1 are 1x1 convs of x: one buffer and one VJP serve all three
+    d_emb = np.empty((n, 2 * d_f + config.d_mid, h, w))
+    d_phi, d_psi = d_emb[:, :d_f], d_emb[:, d_f : 2 * d_f]
+
     order, copies = _backward_order(cache, d_out)
     d_y_canon = d_y[order]
-    flat = cache.phi.shape[1]
     d_g_canon = np.empty((n, d_g))
-    d_phi = np.empty((n, flat))
-    d_psi = np.empty((n, flat))
     for (row, images, rois), attn in zip(cache.groups, cache.attn):
         rows = order[row : row + images * rois]
         # Y = P G
@@ -581,37 +583,32 @@ def nlroi_backward(
         d_g_canon[row : row + images * rois] = d_g_stack.reshape(-1, d_g)
         d_raw = ops.softmax_vjp_from_probs(attn, d_attn) / config.scale()
         # raw = Phi Psi^T
-        d_phi[rows] = (d_raw @ _stacked(cache.psi, row, images, rois)).reshape(-1, flat)
+        d_phi[rows] = (d_raw @ _stacked(cache.psi, row, images, rois)).reshape(-1, d_f, h, w)
         d_psi[rows] = (d_raw.transpose(0, 2, 1) @ _stacked(cache.phi, row, images, rois)).reshape(
-            -1, flat
+            -1, d_f, h, w
         )
-    d_x_phi, d_w_phi, d_b_phi = ops.conv2d_1x1_vjp(
-        x, params.w_phi, params.b_phi, d_phi.reshape(n, config.d_f, h, w)
-    )
-    d_x_psi, d_w_psi, d_b_psi = ops.conv2d_1x1_vjp(
-        x, params.w_psi, params.b_psi, d_psi.reshape(n, config.d_f, h, w)
-    )
 
     # G = pool(conv3x3(relu(conv1x1(x)))); the pooled conv's input gradient
     # is one product over all rows, so it too runs in canonical order
     d_g_canon, d_w_g2, d_b_g2 = ops.conv2d_3x3_pooled_vjp(
-        cache.g_post[order], params.w_g2, params.b_g2, d_g_canon
+        cache.g_post[order], params.w_g2, d_g_canon
     )
     d_g_post = np.empty(d_g_canon.shape)
     d_g_post[order] = d_g_canon
-    (d_g_pre,) = ops.relu_vjp(cache.g_pre, d_g_post)
-    d_x_g, d_w_g1, d_b_g1 = ops.conv2d_1x1_vjp(x, params.w_g1, params.b_g1, d_g_pre)
+    d_emb[:, 2 * d_f :] = ops.relu_vjp(cache.g_pre, d_g_post)[0]
 
-    d_x = d_x_pass + d_x_phi + d_x_psi + d_x_g
+    w_emb = np.concatenate([params.w_phi, params.w_psi, params.w_g1])
+    d_x, d_w, d_b = ops.conv2d_1x1_vjp(x, w_emb, d_emb)
+    d_x += d_x_pass
     for twins, first in copies:
         d_x[twins] = d_x[first]
     grads = NlRoiParams(
-        w_phi=d_w_phi,
-        b_phi=d_b_phi,
-        w_psi=d_w_psi,
-        b_psi=d_b_psi,
-        w_g1=d_w_g1,
-        b_g1=d_b_g1,
+        w_phi=d_w[:d_f],
+        b_phi=d_b[:d_f],
+        w_psi=d_w[d_f : 2 * d_f],
+        b_psi=d_b[d_f : 2 * d_f],
+        w_g1=d_w[2 * d_f :],
+        b_g1=d_b[2 * d_f :],
         w_g2=d_w_g2,
         b_g2=d_b_g2,
     )

@@ -29,7 +29,8 @@ element falls in the blocking.
 
 A VJP result may be a view of its upstream gradient (``concat_channels_vjp``
 returns the two channel slices of ``d_out``), so a caller that writes into
-a result writes into the upstream too.
+a result writes into the upstream too. ``conv2d_1x1_vjp`` returns dX as a
+fresh array, never a view: the operator adds the pass-through into it.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def conv2d_1x1(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(n, cout, h, wd)
 
 
-def conv2d_1x1_vjp(x: np.ndarray, w: np.ndarray, b: np.ndarray, d_out: np.ndarray):
+def conv2d_1x1_vjp(x: np.ndarray, w: np.ndarray, d_out: np.ndarray):
     n, cin, h, wd = x.shape
     cout = w.shape[0]
     if d_out.shape != (n, cout, h, wd):
@@ -179,7 +180,7 @@ def conv2d_3x3_pooled(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray
     return (k @ x.reshape(n, cin * h * wd, 1))[:, :, 0] + b
 
 
-def conv2d_3x3_pooled_vjp(x: np.ndarray, w: np.ndarray, b: np.ndarray, d_out: np.ndarray):
+def conv2d_3x3_pooled_vjp(x: np.ndarray, w: np.ndarray, d_out: np.ndarray):
     n, cin, h, wd = x.shape
     cout = w.shape[0]
     if d_out.shape != (n, cout):

@@ -395,6 +395,17 @@ class TestBackward:
             num.reshape(-1)[k] = (loss(xp) - loss(xm)) / (2 * step)
         assert float(np.max(rel_err(dx, num))) < 1e-6
 
+    def test_empty_blob(self):
+        """No RoIs: dX is empty and every parameter gradient is exactly zero."""
+        cfg = small_config()
+        _, params = random_case(45, 1, cfg)
+        _, cache = nlroi_forward(np.zeros((0, 8, 3, 3)), params, cfg)
+        dx, dparams = nlroi_backward(cache, params, cfg, np.zeros((0, 13, 3, 3)))
+        assert dx.shape == (0, 8, 3, 3)
+        for name, g in dparams.tensors():
+            assert g.shape == getattr(params, name).shape
+            assert not np.any(g)
+
     def test_upstream_shape_checked(self):
         cfg = small_config()
         x, params = random_case(44, 3, cfg)
@@ -557,6 +568,14 @@ class TestCanonicalOrder:
             for n in (5, 13, 37):
                 x, params = random_case(99 + n, n, narrow)
                 self.check(x, params, narrow, seed=100 + n)
+
+    def test_dx_one_image_at_paper_widths(self):
+        # the stacked 1x1 VJP's per-RoI dX product has K = 192 here, which
+        # OpenBLAS may split over threads
+        for attend in (True, False):
+            cfg = NlRoiConfig(d=256, d_f=64, d_mid=64, d_g=64, h=7, w=7, attend_to_self=attend)
+            x, params = random_case(86, 37, cfg)
+            self.check(x, params, cfg, seed=87)
 
     def test_dx_multi_image_shuffled_within_images(self):
         for attend in (True, False):

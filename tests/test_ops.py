@@ -307,7 +307,7 @@ class TestVjps:
         w = prng.normals(2 * 4).reshape(2, 4)
         b = prng.normals(2)
         up = prng.normals(3 * 2 * 5 * 5).reshape(3, 2, 5, 5)
-        dx, dw, db = ops.conv2d_1x1_vjp(x, w, b, up)
+        dx, dw, db = ops.conv2d_1x1_vjp(x, w, up)
         f = ops.conv2d_1x1
         assert max_rel(dx, fd_grad(lambda v: np.sum(f(v, w, b) * up), x)) < 1e-6
         assert max_rel(dw, fd_grad(lambda v: np.sum(f(x, v, b) * up), w)) < 1e-6
@@ -319,7 +319,7 @@ class TestVjps:
         w = prng.normals(2 * 3 * 9).reshape(2, 3, 3, 3)
         b = prng.normals(2)
         up = prng.normals(2 * 2).reshape(2, 2)
-        dx, dw, db = ops.conv2d_3x3_pooled_vjp(x, w, b, up)
+        dx, dw, db = ops.conv2d_3x3_pooled_vjp(x, w, up)
         f = ops.conv2d_3x3_pooled
         assert max_rel(dx, fd_grad(lambda v: np.sum(f(v, w, b) * up), x)) < 1e-6
         assert max_rel(dw, fd_grad(lambda v: np.sum(f(x, v, b) * up), w)) < 1e-6
@@ -337,10 +337,36 @@ class TestVjps:
             (ops.conv2d_3x3_pooled, ops.conv2d_3x3_pooled_vjp, (32, 32, 3, 3), up[:, :, 0, 0]),
         ):
             w = prng.normals(math.prod(w_shape)).reshape(w_shape)
-            dx, dw, _ = conv_vjp(x, w, bias, upstream)
+            dx, dw, _ = conv_vjp(x, w, upstream)
             forward = np.sum(conv(x, w, bias) * upstream)
             for adjoint in (np.sum(x * dx), np.sum(w * dw)):
                 assert abs(adjoint - forward) <= 1e-12 * abs(forward)
+
+    def test_conv1x1_vjp_of_stacked_weights_is_the_stack_of_vjps(self):
+        """The operator's one VJP for phi, psi and g1: with the weights and
+        upstreams stacked by rows, dX is the sum of the three dXs and dW, db
+        are their stacks. Toy widths, paper widths and no RoIs."""
+
+        def scaled(a, b):
+            """Largest difference relative to the largest magnitude of b."""
+            if b.size == 0:
+                return 0.0
+            return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
+
+        cases = ((8, 16, (4, 4, 4), 3), (5, 256, (64, 64, 64), 7), (0, 16, (4, 4, 3), 3))
+        for n, cin, couts, hw in cases:
+            prng = Prng(26 + n)
+            x = prng.normals(n * cin * hw * hw).reshape(n, cin, hw, hw)
+            ws = [prng.normals(c * cin).reshape(c, cin) for c in couts]
+            ups = [prng.normals(n * c * hw * hw).reshape(n, c, hw, hw) for c in couts]
+            dx, dw, db = ops.conv2d_1x1_vjp(x, np.concatenate(ws), np.concatenate(ups, axis=1))
+            parts = [ops.conv2d_1x1_vjp(x, w, up) for w, up in zip(ws, ups)]
+            assert dx.shape == x.shape and dw.shape == (sum(couts), cin) and db.shape == (sum(couts),)
+            assert scaled(dx, sum(p[0] for p in parts)) <= 1e-12
+            assert scaled(dw, np.concatenate([p[1] for p in parts])) <= 1e-12
+            assert scaled(db, np.concatenate([p[2] for p in parts])) <= 1e-12
+            if n == 0:
+                assert not np.any(dw) and not np.any(db)
 
     def test_softmax_vjp_fd(self):
         prng = Prng(24)
