@@ -15,13 +15,12 @@ from .errors import (
     WeightsCorruptionError,
     WeightsFormatError,
 )
-from .gradcheck import GradReport, check_all_gradients, finite_diff
+from .gradcheck import GradReport, check_all_gradients
 from .operator import (
     ForwardCache,
     NlRoiConfig,
     NlRoiParams,
     Scaling,
-    attention_weights,
     init_params,
     nlroi_backward,
     nlroi_forward,
@@ -33,7 +32,6 @@ from .toytask import (
     Scene,
     SceneSpec,
     ToyModel,
-    baseline_ceiling,
     evaluate,
     generate_scene,
     init_model,
@@ -64,11 +62,8 @@ __all__ = [
     "ToyModel",
     "WeightsCorruptionError",
     "WeightsFormatError",
-    "attention_weights",
-    "baseline_ceiling",
     "check_all_gradients",
     "evaluate",
-    "finite_diff",
     "fit_scaling_exponent",
     "generate_scene",
     "init_model",

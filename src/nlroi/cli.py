@@ -29,6 +29,7 @@ from .operator import (
     NlRoiConfig,
     NlRoiParams,
     Scaling,
+    _require_finite,
     init_params,
     nlroi_forward,
     nlroi_reference,
@@ -71,6 +72,8 @@ def _model_tensors(model: ToyModel) -> list:
 
 
 def _model_from_weights(named: dict, cfg: ConfigFile) -> ToyModel:
+    for name, value in named.items():
+        _require_finite(value, f"weights tensor {name!r}")
     spec = cfg.scene_spec()
     if "w_phi" in named:
         nl_config = cfg.nlroi_config()

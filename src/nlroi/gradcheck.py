@@ -9,7 +9,8 @@ produces against the numeric one.
 
 Relative error uses the denominator max(|a|, |b|, 1e-8) so that tiny
 gradients are compared absolutely. Step 1e-5 balances truncation against
-round-off in 64-bit arithmetic and is deliberately not configurable.
+round-off in 64-bit arithmetic; it and the tolerance 1e-6 are module
+constants, deliberately not configurable.
 
 The projection is drawn with a small scale (1e-6). One parameter, the psi
 bias, has an exactly zero loss gradient for structural reasons: shifting
@@ -36,6 +37,8 @@ from .operator import NlRoiConfig, NlRoiParams, nlroi_backward, nlroi_forward
 from .rng import Prng
 
 REL_ERR_FLOOR = 1e-8
+STEP = 1e-5
+TOLERANCE = 1e-6
 PROJECTION_SCALE = 1e-6  # keeps FD cancellation noise below the floor, see above
 
 
@@ -99,13 +102,7 @@ def _compare(name: str, analytic: np.ndarray, numeric: np.ndarray, checks: dict)
     checks[name] = TensorCheck(max_rel_err=float(e.reshape(-1)[k]), worst_index=k)
 
 
-def check_all_gradients(
-    config: NlRoiConfig,
-    seed: int,
-    step: float = 1e-5,
-    tol: float = 1e-6,
-    n: int = 4,
-) -> GradReport:
+def check_all_gradients(config: NlRoiConfig, seed: int, n: int = 4) -> GradReport:
     """Verify dX and all eight parameter gradients of the operator.
 
     The blob (n RoIs) and every parameter tensor are drawn from the seeded
@@ -131,17 +128,17 @@ def check_all_gradients(
     def loss_of_x(blob):
         return np.sum(nlroi_forward(blob, params, config)[0] * projection)
 
-    _compare("x", d_x, finite_diff(loss_of_x, x, step), checks)
+    _compare("x", d_x, finite_diff(loss_of_x, x, STEP), checks)
 
     for name in shapes:
         def loss_of_param(value, _name=name):
             trial = dataclasses.replace(params, **{_name: value})
             return np.sum(nlroi_forward(x, trial, config)[0] * projection)
 
-        numeric = finite_diff(loss_of_param, getattr(params, name), step)
+        numeric = finite_diff(loss_of_param, getattr(params, name), STEP)
         _compare(name, getattr(d_params, name), numeric, checks)
 
-    return GradReport(tolerance=tol, checks=checks, projection=projection)
+    return GradReport(tolerance=TOLERANCE, checks=checks, projection=projection)
 
 
 def format_report(report: GradReport) -> str:

@@ -22,15 +22,16 @@ mix) run once per run of consecutive images with equal counts, on stacked
 call with that image alone returns.
 
 The N x N stages and their VJPs run in a canonical RoI order: each image's
-RoIs sorted by content (``_canonical_order``, one argsort per run of
+RoIs sorted by content (``_canonical_order``, one lexsort per run of
 equal-count images). Relabeling an image's RoIs hands these stages the
 same arrays, so they may use any deterministic kernel, BLAS for the mix
 included, and the forward and the input gradient dX are bitwise
 permutation-equivariant. RoIs with equal bytes are identical; they get
 identical outputs wherever the sort puts them, and identical dX where
-their upstream rows are equal too. The parameter gradients sum over the
-RoIs in call order: they are deterministic, but a relabeling can move
-their last bits.
+their upstream rows are equal too: the backward sorts with the same
+function, by the RoIs and then by their upstream rows. The parameter
+gradients sum over the RoIs in call order: they are deterministic, but a
+relabeling can move their last bits.
 
 Two scaling modes divide the raw dot products: the square root of the
 channel count D_f (per-channel, the default) or of the full flattened
@@ -137,8 +138,6 @@ class NlRoiParams:
             got = getattr(self, name).shape
             if got != want:
                 raise DimensionError(f"{name} has shape {got}, config implies {want}")
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise DimensionError(f"{name} contains non-finite values")
 
 
 @dataclass
@@ -148,9 +147,8 @@ class ForwardCache:
     The N x N stages ran in canonical order (``_canonical_order``): canonical
     row k is original row ``order[k]``. ``phi``, ``psi`` and ``g`` hold
     their rows in that order, and ``raw`` and ``attn`` one canonical
-    (images, n, n) stack per entry of ``groups``. ``g_pooled``,
-    ``scores_raw``, ``scores`` and ``attention`` give them in the call's
-    own row order.
+    (images, n, n) stack per entry of ``groups``. ``scores_raw``,
+    ``scores`` and ``attention`` give them in the call's own row order.
     """
 
     x: np.ndarray            # (N, D, H, W) input blob
@@ -166,13 +164,6 @@ class ForwardCache:
     g_pre: np.ndarray        # (N, D_mid, H, W) before the ReLU, call order
     g_post: np.ndarray       # (N, D_mid, H, W) after the ReLU, call order
     y_vec: np.ndarray        # (N, D_g) attention-mixed output, call order
-
-    @property
-    def g_pooled(self) -> np.ndarray:
-        """(N, D_g) per-RoI embedding matrix G."""
-        out = np.empty(self.g.shape)
-        out[self.order] = self.g
-        return out
 
     def _in_call_order(self, stacks: list) -> list:
         out = []
@@ -238,7 +229,7 @@ def _require_finite(a: np.ndarray, name: str) -> None:
     finite = np.isfinite(a)
     if not finite.all():
         index = tuple(int(i) for i in np.argwhere(~finite)[0])
-        raise NumericalError(f"{name} has a non-finite value {a[index]!r} at index {index}")
+        raise NumericalError(f"{name} has a non-finite value {float(a[index])!r} at index {index}")
 
 
 def _image_counts(counts, n: int) -> tuple:
@@ -285,24 +276,26 @@ def attention_weights(s: np.ndarray, attend_to_self: bool) -> np.ndarray:
     return ops.softmax_rows(s, mask_diagonal=not attend_to_self)
 
 
-def _canonical_order(x: np.ndarray, groups: tuple):
+def _canonical_order(groups: tuple, *blobs):
     """Returns (order, twins): the canonical row order of the N x N stages.
 
     Canonical row k is original row ``order[k]``: each image's RoIs in
-    ascending order of their bytes, images in call order. A RoI's position
-    in the call then cannot change what these stages compute. RoIs with
-    equal bytes (twins) are identical, and the stages must give them
-    identical results wherever the sort puts them: ``twins[g]`` is None, or
-    index arrays (k, a) into group g's canonical rows, where RoI k repeats
-    RoI a, the first of its run of twins.
+    ascending order of the bytes of their rows in the first blob, ties
+    broken by the next blob, images in call order; RoIs equal in every
+    blob keep their call order. A RoI's position in the call then cannot
+    change what these stages compute. RoIs equal in every blob (twins) are
+    identical, and the stages must give them identical results wherever
+    the sort puts them: ``twins[g]`` is None, or index arrays (k, a) into
+    group g's canonical rows, where RoI k repeats RoI a, the first of its
+    run of twins.
     """
-    order = np.empty(x.shape[0], dtype=np.intp)
-    keys = _row_keys(x)
-    lead = x[:, 0, 0, 0]
+    order = np.empty(blobs[0].shape[0], dtype=np.intp)
+    keys = [_row_keys(b) for b in blobs]
+    lead = blobs[0][:, 0, 0, 0]
     twins = []
     for row, images, rois in groups:
         end = row + images * rois
-        block = np.argsort(keys[row:end].reshape(images, rois), axis=-1)
+        block = np.lexsort([k[row:end].reshape(images, rois) for k in reversed(keys)], axis=-1)
         block += row + rois * np.arange(images)[:, None]
         order[row:end] = block.reshape(-1)
         ranked = order[row:end]
@@ -311,10 +304,11 @@ def _canonical_order(x: np.ndarray, groups: tuple):
         # an image's first RoI has no left neighbour (a group of empty
         # images has nothing to compare)
         same[rois - 1 :: max(rois, 1)] = False
-        # twins: neighbours with equal first elements, then equal bytes
-        # (gathering every neighbour's bytes would copy the whole blob)
+        # twins: neighbours with equal first elements, then equal bytes in
+        # every blob (gathering every neighbour's bytes would copy the blobs)
         (k,) = np.nonzero(same)
-        same[k] = keys[ranked[k + 1]] == keys[ranked[k]]
+        for key in keys:
+            same[k] &= key[ranked[k + 1]] == key[ranked[k]]
         twins.append(_repeats(same))
     return order, tuple(twins)
 
@@ -359,7 +353,7 @@ def nlroi_forward(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig, count
             "it has no entries left to attend to"
         )
     groups = _groups(counts)
-    order, twins = _canonical_order(x, groups)
+    order, twins = _canonical_order(groups, x)
     phi = _flat_embed(x, params.w_phi, params.b_phi)[order]
     psi = _flat_embed(x, params.w_psi, params.b_psi)[order]
     g_pre = ops.conv2d_1x1(x, params.w_g1, params.b_g1)
@@ -506,36 +500,6 @@ def nlroi_reference(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig) -> 
     return out
 
 
-def _backward_order(cache: ForwardCache, d_out: np.ndarray):
-    """Returns (order, copies): the forward's canonical order, with each
-    run of twins put in order of their upstream rows' bytes, and per run
-    of twins with equal upstream rows too, (rows, first row) to copy dX to.
-
-    The backward sums over a run's rows, so their order must not depend on
-    the call's; the cached tensors are the same for every order of a run.
-    Twins with equal upstream rows are indistinguishable, but their dX
-    rows may still round differently by their place in the run.
-    """
-    order = cache.order.copy()
-    copies = []
-    for (row, images, rois), twin in zip(cache.groups, cache.twins):
-        if twin is None:
-            continue
-        k, a = twin
-        run = np.arange(images * rois)
-        run[k] = a
-        rows = order[row : row + images * rois]
-        keys = _row_keys(d_out[rows])
-        by_key = np.lexsort((keys, run))
-        rows[:] = rows[by_key]
-        keys = keys[by_key]
-        repeat = _repeats((run[1:] == run[:-1]) & (keys[1:] == keys[:-1]))
-        if repeat is not None:
-            k, a = repeat
-            copies.append((rows[k], rows[a]))
-    return order, copies
-
-
 def nlroi_backward(
     cache: ForwardCache,
     params: NlRoiParams,
@@ -548,10 +512,12 @@ def nlroi_backward(
     g1 read the same x, so their upstreams share one buffer and one call
     gives their dX as one product per RoI. The mix, softmax and score
     VJPs run per group of the cache with batched products, in the forward's
-    canonical order (``_backward_order``), and so does the pooled 3x3
-    conv's VJP; their results go back to call order once per tensor.
-    Twins whose upstream rows are equal too get the dX of the first of them.
-    Parameter gradients are summed over every image of the call.
+    canonical order, and so does the pooled 3x3 conv's VJP; their results
+    go back to call order once per tensor. When the forward found twins,
+    ``_canonical_order`` sorts again by x and then by ``d_out``, which puts
+    each run of twins in an order of its own, and twins whose upstream rows
+    are equal too get the dX of the first of them. Parameter gradients are
+    summed over every image of the call.
     """
     x = cache.x
     n = x.shape[0]
@@ -571,7 +537,11 @@ def nlroi_backward(
     d_emb = np.empty((n, 2 * d_f + config.d_mid, h, w))
     d_phi, d_psi = d_emb[:, :d_f], d_emb[:, d_f : 2 * d_f]
 
-    order, copies = _backward_order(cache, d_out)
+    order, twins = cache.order, cache.twins
+    if any(t is not None for t in twins):
+        # the backward sums over a run of twins, whose upstream rows may
+        # differ: sort each run by them too (the cache fits any order of a run)
+        order, twins = _canonical_order(cache.groups, x, d_out)
     d_y_canon = d_y[order]
     d_g_canon = np.empty((n, d_g))
     for (row, images, rois), attn in zip(cache.groups, cache.attn):
@@ -600,8 +570,11 @@ def nlroi_backward(
     w_emb = np.concatenate([params.w_phi, params.w_psi, params.w_g1])
     d_x, d_w, d_b = ops.conv2d_1x1_vjp(x, w_emb, d_emb)
     d_x += d_x_pass
-    for twins, first in copies:
-        d_x[twins] = d_x[first]
+    # twins with equal upstream rows may still round differently by place
+    for (row, _, _), twin in zip(cache.groups, twins):
+        if twin is not None:
+            k, a = twin
+            d_x[order[row + k]] = d_x[order[row + a]]
     grads = NlRoiParams(
         w_phi=d_w[:d_f],
         b_phi=d_b[:d_f],

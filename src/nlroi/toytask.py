@@ -114,17 +114,12 @@ def _draw_scenes(prng: Prng, spec: SceneSpec, count: int):
     return rows, latent, np.repeat(majority, n)
 
 
-def _replicate(rows: np.ndarray, spec: SceneSpec) -> np.ndarray:
-    """Each (D,) row copied to every H x W position: (R, D) -> (R, D, H, W)."""
-    return np.repeat(rows, spec.h * spec.w, axis=1).reshape(-1, spec.d, spec.h, spec.w)
-
-
 def generate_scene(prng: Prng, spec: SceneSpec) -> Scene:
     """Draw one scene: the one-scene case of the block draw above, with
     each RoI's row replicated across the H x W positions."""
     rows, latent, labels = _draw_scenes(prng, spec, 1)
     return Scene(
-        features=_replicate(rows, spec),
+        features=ops.tile_spatial(rows, spec.h, spec.w),
         latent_classes=latent,
         majority_class=int(labels[0]),
         labels=labels,
@@ -170,10 +165,6 @@ class ToyModel:
     w_head: np.ndarray  # (K, D) or (K, D + D_g)
     b_head: np.ndarray  # (K,)
 
-    @property
-    def variant(self) -> str:
-        return "baseline" if self.nlroi_config is None else "nlroi"
-
 
 def init_model(
     spec: SceneSpec,
@@ -216,7 +207,7 @@ def _head_inputs(model: ToyModel, prng: Prng, scenes: int):
     if model.nlroi_config is None:
         return rows, labels, counts, None
     feats, cache = nlroi_forward(
-        _replicate(rows, spec), model.nlroi_params, model.nlroi_config, counts
+        ops.tile_spatial(rows, spec.h, spec.w), model.nlroi_params, model.nlroi_config, counts
     )
     return feats[:, :, 0, 0], labels, counts, cache
 

@@ -177,6 +177,27 @@ class TestTrainEval:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "variant, name, index, value",
+        [("baseline", "w_head", (0, 0), np.nan), ("nlroi", "w_g2", (1, 0, 2, 1), np.inf)],
+    )
+    def test_eval_rejects_non_finite_tensor(
+        self, tmp_path, capsys, fast_config, variant, name, index, value
+    ):
+        weights = tmp_path / "w.bin"
+        assert main(["init", "--variant", variant, "--config", fast_config,
+                     "--out", str(weights)]) == 0
+        named = load_weights(weights)
+        named[name][index] = value
+        save_weights(weights, named)
+        capsys.readouterr()
+        rc = main(["eval", "--weights", str(weights), "--config", fast_config, "--scenes", "20"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: weights tensor {name!r} has a non-finite value")
+        assert str(index) in captured.err
+
 
 class TestInitCommand:
     def test_writes_loadable_weights(self, tmp_path, capsys, fast_config):

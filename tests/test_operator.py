@@ -38,7 +38,9 @@ def scores_of(x, params, config):
 
 
 def g_of(x, params, config):
-    return nlroi_forward(x, params, config)[1].g_pooled
+    """Each RoI's g embedding, (N, D_g): a one-RoI forward mixes its own g
+    with weight exactly 1, so output channels D: hold it exactly."""
+    return np.array([nlroi_forward(r[None], params, config)[0][0, config.d :, 0, 0] for r in x])
 
 
 def random_case(seed, n, config):
@@ -205,7 +207,10 @@ class TestForward:
         cfg = small_config()
         x, params = random_case(21, 1, cfg)
         out, cache = nlroi_forward(x, params, cfg)
-        assert np.array_equal(cache.y_vec[0], cache.g_pooled[0])
+        g = ops.conv2d_3x3_pooled(
+            ops.relu(ops.conv2d_1x1(x, params.w_g1, params.b_g1)), params.w_g2, params.b_g2
+        )
+        assert np.array_equal(cache.y_vec[0], g[0])
         assert np.array_equal(cache.attention[0][0], [[1.0]])
 
     def test_first_channels_pass_through(self):
@@ -290,7 +295,7 @@ class TestForward:
         cfg = small_config()
         x, params = random_case(26, 6, cfg)
         _, cache = nlroi_forward(x, params, cfg)
-        g = cache.g_pooled
+        g = g_of(x, params, cfg)
         lo = g.min(axis=0) - 1e-12
         hi = g.max(axis=0) + 1e-12
         assert np.all(cache.y_vec >= lo[None, :])
@@ -644,6 +649,37 @@ class TestCanonicalOrder:
                 dx, _ = nlroi_backward(cache, params, cfg, up)
                 for i, r in enumerate(rows):
                     assert dx[i].tobytes() == dx[first[r]].tobytes()
+
+    def test_twins_with_equal_upstream_after_the_first_group(self):
+        """Groups (6,) and (17, 17), with twins in both images of the second
+        group: all but one per image with equal upstream rows too. dX stays
+        equivariant and matches per-image calls, and fully equal twins get
+        equal dX."""
+        run = (6, 7, 6, 8, 6, 9, 7, 7, 8, 10, 6, 11, 6, 12, 13, 6, 7)
+        picks = tuple(range(6)) + run + run
+        counts = (6, 17, 17)
+        for attend in (True, False):
+            cfg = small_config(attend_to_self=attend)
+            _, params = random_case(120, 1, cfg)
+            x = twin_blob(cfg, 121, picks)
+            up = Prng(122).normals(40 * (cfg.d + cfg.d_g) * 9).reshape(40, cfg.d + cfg.d_g, 3, 3)
+            # first[i]: the first RoI of i's image with i's bytes; the last
+            # RoI of each image keeps an upstream row of its own
+            first = [picks.index(p, 6 + 17 * ((i - 6) // 17)) if i >= 6 else i
+                     for i, p in enumerate(picks)]
+            for i in range(40):
+                if i not in (22, 39):
+                    up[i] = up[first[i]]
+            _, cache = self.check(x, params, cfg, counts=counts, seed=123, up=up)
+            dx, _ = nlroi_backward(cache, params, cfg, up)
+            alone = [
+                nlroi_backward(nlroi_forward(x[a:b], params, cfg)[1], params, cfg, up[a:b])[0]
+                for a, b in ((0, 6), (6, 23), (23, 40))
+            ]
+            assert np.max(np.abs(dx - np.concatenate(alone))) <= 1e-12 * np.max(np.abs(dx))
+            for i in range(40):
+                if i not in (22, 39):
+                    assert dx[i].tobytes() == dx[first[i]].tobytes(), i
 
     def test_twins_finite_differences(self):
         """The gradients with twins are those of the defining sum: each twin

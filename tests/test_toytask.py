@@ -349,7 +349,7 @@ class TestModel:
 
     def test_baseline_variant_has_no_operator(self):
         model = init_model(SPEC, None, Prng(74))
-        assert model.variant == "baseline"
+        assert model.nlroi_config is None
         assert model.w_head.shape == (4, 16)
 
     def test_operator_scene_shape_mismatch(self):
