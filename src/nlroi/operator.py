@@ -19,7 +19,9 @@ image's RoI count. The channel stages (phi/psi embeddings, the g-branch,
 tile and concat) run once over all RoIs; the N x N stages (score, softmax,
 mix) run once per run of consecutive images with equal counts, on stacked
 (images, n, .) arrays. Every image's output is bitwise equal to what a
-call with that image alone returns.
+call with that image alone returns. The softmax and its VJP overwrite
+their input stack in blocks of ``_ROW_BLOCK`` rows, so each group keeps
+one N x N stack, the raw scores that become the weights.
 
 The N x N stages and their VJPs run in a canonical RoI order: each image's
 RoIs sorted by content (``_canonical_order``, one lexsort per run of
@@ -146,9 +148,12 @@ class ForwardCache:
 
     The N x N stages ran in canonical order (``_canonical_order``): canonical
     row k is original row ``order[k]``. ``phi``, ``psi`` and ``g`` hold
-    their rows in that order, and ``raw`` and ``attn`` one canonical
-    (images, n, n) stack per entry of ``groups``. ``scores_raw``,
-    ``scores`` and ``attention`` give them in the call's own row order.
+    their rows in that order. ``attn`` holds the weights, one canonical
+    (images, n, n) stack per entry of ``groups``, and is the only N x N
+    array the cache keeps. ``scores_raw`` and ``scores`` recompute the
+    scores from ``phi`` and ``psi`` with the forward's own product, so they
+    are bitwise what the softmax saw. These two and ``attention`` give
+    their stacks in the call's own row order.
     """
 
     x: np.ndarray            # (N, D, H, W) input blob
@@ -158,7 +163,6 @@ class ForwardCache:
     phi: np.ndarray          # (N, D_f*H*W) flattened phi embeddings
     psi: np.ndarray          # (N, D_f*H*W) flattened psi embeddings
     g: np.ndarray            # (N, D_g) per-RoI embedding matrix G
-    raw: list                # per group: dot products before scaling
     scale: float             # divisor of the raw scores
     attn: list               # per group: row-stochastic weights
     g_pre: np.ndarray        # (N, D_mid, H, W) before the ReLU, call order
@@ -175,7 +179,7 @@ class ForwardCache:
     @property
     def scores_raw(self) -> list:
         """Per group: dot products before scaling."""
-        return self._in_call_order(self.raw)
+        return self._in_call_order([_scores(self.phi, self.psi, *group) for group in self.groups])
 
     @property
     def scores(self) -> list:
@@ -266,14 +270,23 @@ def _flat_embed(x, w, b):
     return e.reshape(e.shape[0], e.shape[1] * e.shape[2] * e.shape[3])
 
 
-def attention_weights(s: np.ndarray, attend_to_self: bool) -> np.ndarray:
-    """Row softmax of the score matrix, optionally excluding each RoI's self.
+# Rows of an image's N x N stack that the softmax and its VJP take at a
+# time: a block of 64 rows of N = 1024 is 512 KB, which stays in L2
+_ROW_BLOCK = 64
 
-    ``s`` is one (n, n) matrix or a stack (images, n, n). With
+
+def attention_weights(s: np.ndarray, attend_to_self: bool, first_row=None) -> np.ndarray:
+    """Row softmax of the score matrix, optionally excluding each RoI's self;
+    overwrites the float64 array ``s`` with the weights and returns it.
+
+    ``s`` is one (n, n) matrix or a stack (images, n, n), or with
+    ``first_row`` a block of their rows (see ``ops.softmax_rows``). With
     attend_to_self false the diagonal receives exactly zero weight (scores
     treated as -inf, rows renormalized over the rest).
     """
-    return ops.softmax_rows(s, mask_diagonal=not attend_to_self)
+    return ops.softmax_rows(
+        s, mask_diagonal=not attend_to_self, first_row=first_row, in_place=True
+    )
 
 
 def _canonical_order(groups: tuple, *blobs):
@@ -335,6 +348,30 @@ def _stacked(a: np.ndarray, row: int, images: int, rois: int) -> np.ndarray:
     return a[row : row + images * rois].reshape(images, rois, a.shape[1])
 
 
+def _scores(phi: np.ndarray, psi: np.ndarray, row: int, images: int, rois: int) -> np.ndarray:
+    """A group's raw scores Phi Psi^T, a canonical (images, rois, rois) stack."""
+    return ops.matmul(
+        _stacked(phi, row, images, rois), _stacked(psi, row, images, rois).transpose(0, 2, 1)
+    )
+
+
+def _require_finite_scores(block, order, row, first, image):
+    """Raises NumericalError at a non-finite entry of a block of scaled
+    scores: rows ``first``.. of the canonical stack of the group that
+    starts at ``row`` and whose first image is ``image``. The index is
+    given in the image's own row order."""
+    finite = np.isfinite(block)
+    if not finite.all():
+        k, i, j = (int(v) for v in np.argwhere(~finite)[0])
+        start = row + k * block.shape[-1]
+        # canonical row r of the image is row order[start + r] - start of the call
+        at = tuple(int(order[start + r]) - start for r in (first + i, j))
+        raise NumericalError(
+            f"attention score matrix of image {image + k} has a non-finite value "
+            f"{float(block[k, i, j])!r} at index {at}"
+        )
+
+
 def nlroi_forward(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig, counts=None):
     """Forward pass: returns (output blob (N, D+D_g, H, W), ForwardCache).
 
@@ -360,18 +397,16 @@ def nlroi_forward(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig, count
     g_post = ops.relu(g_pre)
     g = ops.conv2d_3x3_pooled(g_post, params.w_g2, params.b_g2)[order]
     y_vec = np.empty(g.shape)
-    raws, attns = [], []
+    attns = []
     image = 0
     for (row, images, rois), twin in zip(groups, twins):
-        raw = ops.matmul(
-            _stacked(phi, row, images, rois),
-            _stacked(psi, row, images, rois).transpose(0, 2, 1),
-        )
-        s = raw / config.scale()
-        if not np.isfinite(s).all():
-            k = int(np.argmin(np.isfinite(s).reshape(images, -1).all(axis=1)))
-            _require_finite(s[k], f"attention score matrix of image {image + k}")
-        attn = attention_weights(s, config.attend_to_self)
+        # the weights overwrite the raw scores, one block of rows at a time
+        attn = _scores(phi, psi, row, images, rois)
+        for first in range(0, rois, _ROW_BLOCK):
+            block = attn[:, first : first + _ROW_BLOCK]
+            block /= config.scale()
+            _require_finite_scores(block, order, row, first, image)
+            attention_weights(block, config.attend_to_self, first_row=first)
         mixed = (attn @ _stacked(g, row, images, rois)).reshape(-1, config.d_g)
         if twin is not None:
             # a twin copies the first RoI of its run: rows that differ only
@@ -384,7 +419,6 @@ def nlroi_forward(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig, count
                 rows[k, a % rois] = rows[k, k % rois]
                 rows[k, k % rois] = 0.0
         y_vec[order[row : row + images * rois]] = mixed
-        raws.append(raw)
         attns.append(attn)
         image += images
     out = ops.concat_channels(x, ops.tile_spatial(y_vec, config.h, config.w))
@@ -396,7 +430,6 @@ def nlroi_forward(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig, count
         phi=phi,
         psi=psi,
         g=g,
-        raw=raws,
         scale=config.scale(),
         attn=attns,
         g_pre=g_pre,
@@ -513,7 +546,9 @@ def nlroi_backward(
     gives their dX as one product per RoI. The mix, softmax and score
     VJPs run per group of the cache with batched products, in the forward's
     canonical order, and so does the pooled 3x3 conv's VJP; their results
-    go back to call order once per tensor. When the forward found twins,
+    go back to call order once per tensor. The softmax VJP overwrites the
+    mix VJP's N x N output in blocks of ``_ROW_BLOCK`` rows. A non-finite
+    ``d_out`` raises NumericalError. When the forward found twins,
     ``_canonical_order`` sorts again by x and then by ``d_out``, which puts
     each run of twins in an order of its own, and twins whose upstream rows
     are equal too get the dX of the first of them. Parameter gradients are
@@ -529,6 +564,7 @@ def nlroi_backward(
             f"upstream gradient has shape {d_out.shape}, "
             f"expected {(n, d + d_g, h, w)}"
         )
+    _require_finite(d_out, "upstream gradient")
 
     d_x_pass, d_tile = ops.concat_channels_vjp(x, np.empty((n, d_g, h, w)), d_out)
     (d_y,) = ops.tile_spatial_vjp(cache.y_vec, h, w, d_tile)
@@ -547,11 +583,15 @@ def nlroi_backward(
     for (row, images, rois), attn in zip(cache.groups, cache.attn):
         rows = order[row : row + images * rois]
         # Y = P G
-        d_attn, d_g_stack = ops.matmul_vjp(
+        d_raw, d_g_stack = ops.matmul_vjp(
             attn, _stacked(cache.g, row, images, rois), _stacked(d_y_canon, row, images, rois)
         )
         d_g_canon[row : row + images * rois] = d_g_stack.reshape(-1, d_g)
-        d_raw = ops.softmax_vjp_from_probs(attn, d_attn) / config.scale()
+        # the raw scores' gradient overwrites the weights', one block of rows at a time
+        for first in range(0, rois, _ROW_BLOCK):
+            block = slice(first, first + _ROW_BLOCK)
+            ops.softmax_vjp_from_probs(attn[:, block], d_raw[:, block])
+            d_raw[:, block] /= config.scale()
         # raw = Phi Psi^T
         d_phi[rows] = (d_raw @ _stacked(cache.psi, row, images, rois)).reshape(-1, d_f, h, w)
         d_psi[rows] = (d_raw.transpose(0, 2, 1) @ _stacked(cache.phi, row, images, rois)).reshape(

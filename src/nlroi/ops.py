@@ -1,8 +1,9 @@
 """Primitive tensor operations and their vector-Jacobian products.
 
 Tensors are C-contiguous float64 numpy arrays, and every operation is a
-pure function of its inputs. What the operations guarantee about their
-bits, given N RoIs along the leading axis:
+pure function of its inputs, except that the softmax and its VJP may
+overwrite theirs (below). What the operations guarantee about their bits,
+given N RoIs along the leading axis:
 
 * The channel stages compute each RoI separately: ``conv2d_1x1`` and
   ``conv2d_3x3_pooled`` (a 3x3 conv folded with the global average pool
@@ -19,6 +20,12 @@ bits, given N RoIs along the leading axis:
 * ``matmul`` and ``softmax_rows`` also take a stack of matrices with a
   leading batch axis. Each matrix of the stack gets exactly the
   operations it would get alone, so its bits do not depend on the others.
+* ``softmax_rows`` and ``softmax_vjp_from_probs`` compute each row on its
+  own. ``softmax_rows`` overwrites its scores when asked (``in_place``);
+  ``softmax_vjp_from_probs`` always overwrites its upstream. A block of a
+  matrix's rows (``first_row`` places the masked diagonal) gets bitwise
+  the rows the whole matrix would, so the operator runs both in place on
+  row blocks and makes no N x N temporary for them.
 
 All operations are deterministic run to run on one machine with one
 NumPy/BLAS build. The VJPs contract with BLAS (``@``) and sum with NumPy
@@ -194,47 +201,60 @@ def conv2d_3x3_pooled_vjp(x: np.ndarray, w: np.ndarray, d_out: np.ndarray):
     return dx, dw, d_out.sum(axis=0)
 
 
-def softmax_rows(s: np.ndarray, mask_diagonal: bool = False) -> np.ndarray:
+def softmax_rows(s, mask_diagonal=False, first_row=None, in_place=False) -> np.ndarray:
     """Row softmax with max subtraction; optionally zeroes the diagonal.
 
-    With ``mask_diagonal`` the diagonal entries receive exactly zero weight
-    and each row renormalizes over its off-diagonal entries (the masked
-    scores are treated as -inf before exponentiation). A stack (B, n, m)
-    is normalized matrix by matrix.
+    A stack (B, n, m) is normalized matrix by matrix. With ``mask_diagonal``
+    the diagonal entries receive exactly zero weight and each row
+    renormalizes over the rest (the masked scores are treated as -inf
+    before exponentiation). ``s`` is then a square matrix, or, given
+    ``first_row``, a block of the rows of one: row i of the block is row
+    ``first_row + i`` of the matrix and has its diagonal entry in that
+    column. With ``in_place`` the weights overwrite ``s``, which must be a
+    float64 array (a view is fine). Every row gets the same operations in
+    any of these forms, so a block's weights are bitwise the whole
+    matrix's.
     """
-    s = _as_f64(s)
+    if not in_place:
+        s = np.array(s, dtype=np.float64, order="C")
     _require_matrices(s, "softmax input")
     n, m = s.shape[-2:]
     if mask_diagonal:
-        if n != m:
-            raise DimensionError(f"diagonal masking needs a square matrix, got {s.shape}")
-        if n == 1:
+        if first_row is None:
+            if n != m:
+                raise DimensionError(f"diagonal masking needs a square matrix, got {s.shape}")
+            first_row = 0
+        elif not 0 <= first_row <= m - n:
+            raise DimensionError(
+                f"rows {first_row}..{first_row + n - 1} of a matrix with {m} columns "
+                "have no diagonal to mask"
+            )
+        if m == 1:
             raise DegenerateAttentionError(
                 "a single masked row has no entries left to attend to"
             )
-        work = s.copy()
-        diag = np.arange(n)
-        work[..., diag, diag] = -np.inf
-    else:
-        work = s
-    if work.size == 0:
-        return np.zeros(s.shape)
-    row_max = np.max(work, axis=-1, keepdims=True)
-    e = np.exp(work - row_max)
-    # in place: one N x N array fewer at the forward's peak
-    e /= np.sum(e, axis=-1, keepdims=True)
-    return e
+        rows = np.arange(n)
+        s[..., rows, first_row + rows] = -np.inf
+    if s.size:
+        s -= np.max(s, axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        s /= np.sum(s, axis=-1, keepdims=True)
+    return s
 
 
 def softmax_vjp_from_probs(p: np.ndarray, d_p: np.ndarray) -> np.ndarray:
-    """Softmax backward given the forward probabilities.
+    """Softmax backward given the forward probabilities, in place: returns
+    ``d_p``, overwritten with the score gradient.
 
     dS[i,j] = P[i,j] * (dP[i,j] - sum_k dP[i,k] P[i,k]). Masked entries have
     P = 0, so their score gradient is exactly zero. Leading axes are batch
-    axes.
+    axes, and ``p`` and ``d_p`` may be the same block of rows of larger
+    matrices (views).
     """
     row_dot = np.sum(d_p * p, axis=-1, keepdims=True)
-    return p * (d_p - row_dot)
+    d_p -= row_dot
+    d_p *= p
+    return d_p
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -282,6 +282,12 @@ def train(
     for step in range(1, hyper.steps + 1):
         pooled, labels, counts, cache = _head_inputs(model, prng, hyper.scenes_per_step)
         loss, d_logits = _cross_entropy(head_logits(model, pooled), labels, counts)
+        step_loss = loss / hyper.scenes_per_step
+        losses.append(step_loss)
+        # before the backward, which rejects the non-finite upstream a
+        # diverged step brings
+        if not np.isfinite(step_loss):
+            raise DivergenceError(step, step_loss)
         grads = {"w_head": d_logits.T @ pooled, "b_head": np.sum(d_logits, axis=0)}
         if cache is not None:
             # the pool's VJP: each row's gradient spread evenly over H x W
@@ -289,10 +295,6 @@ def train(
             d_feats = ops.tile_spatial(d_pooled, spec.h, spec.w)
             _, d_nlroi = nlroi_backward(cache, model.nlroi_params, model.nlroi_config, d_feats)
             grads.update(d_nlroi.tensors())
-        step_loss = loss / hyper.scenes_per_step
-        losses.append(step_loss)
-        if not np.isfinite(step_loss):
-            raise DivergenceError(step, step_loss)
         for name, owner in trainable:
             p = getattr(owner, name)
             g = grads[name] / hyper.scenes_per_step + hyper.weight_decay * p

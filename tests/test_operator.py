@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from nlroi.errors import (
 )
 from nlroi.gradcheck import finite_diff, rel_err
 from nlroi.operator import (
+    _ROW_BLOCK,
     NlRoiConfig,
     NlRoiParams,
     Scaling,
@@ -265,6 +268,17 @@ class TestForward:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="attention score matrix"):
                 nlroi_forward(x * 1e160, params, cfg)
+        # one bad RoI: only its score with itself overflows, and the message
+        # names its image and its row there, not its canonical rank, also
+        # in the row blocks after the first
+        counts = (5, _ROW_BLOCK + 6)
+        x, params = random_case(33, sum(counts), cfg)
+        for i in range(counts[1]):
+            x_bad = x.copy()
+            x_bad[counts[0] + i] *= 1e160
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NumericalError, match=rf"of image 1 .* at index \({i}, {i}\)$"):
+                    nlroi_forward(x_bad, params, cfg, counts=counts)
 
     def test_empty_blob_passes_through(self):
         cfg = small_config()
@@ -418,6 +432,19 @@ class TestBackward:
         with pytest.raises(DimensionError):
             nlroi_backward(cache, params, cfg, np.zeros((3, 8, 3, 3)))
 
+    def test_non_finite_upstream_raises(self):
+        """A NaN in the pass-through channels or an inf in the g channels is
+        named with its index, not turned into a NaN gradient."""
+        cfg = small_config()
+        x, params = random_case(46, 4, cfg)
+        _, cache = nlroi_forward(x, params, cfg)
+        for at, bad in (((2, 3, 1, 0), np.nan), ((1, cfg.d + 2, 0, 2), -np.inf)):
+            up = np.ones((4, cfg.d + cfg.d_g, 3, 3))
+            up[at] = bad
+            message = f"upstream gradient has a non-finite value {bad!r} at index {at}"
+            with pytest.raises(NumericalError, match=re.escape(message)):
+                nlroi_backward(cache, params, cfg, up)
+
 
 def scaled_err(a, b):
     """Largest difference relative to the largest magnitude of b."""
@@ -570,7 +597,8 @@ class TestCanonicalOrder:
             # a 9-column pooled kernel: rows of one BLAS product over all
             # RoIs round differently by position at this shape
             narrow = NlRoiConfig(d=16, d_f=4, d_mid=1, d_g=16, h=3, w=3, attend_to_self=attend)
-            for n in (5, 13, 37):
+            # 2 * _ROW_BLOCK + 5: the softmax and its VJP take three blocks
+            for n in (5, 13, 37, 2 * _ROW_BLOCK + 5):
                 x, params = random_case(99 + n, n, narrow)
                 self.check(x, params, narrow, seed=100 + n)
 
@@ -718,6 +746,115 @@ class TestCanonicalOrder:
             _, params = random_case(93, 1, cfg)
             x = twin_blob(cfg, 94, tuple(range(10)), signed_zero=((2, 7),))
             self.check(x, params, cfg, seed=95)
+
+
+def in_canonical_order(cache, stacks):
+    """``cache.scores`` or ``cache.attention`` in the forward's canonical
+    order, the order in which the softmax summed each row."""
+    out = []
+    for (row, images, rois), a in zip(cache.groups, stacks):
+        starts = row + rois * np.arange(images)
+        local = cache.order[row : row + images * rois].reshape(images, rois) - starts[:, None]
+        out.append(a[np.arange(images)[:, None, None], local[:, :, None], local[:, None, :]])
+    return out
+
+
+class TestRowBlocks:
+    """The softmax and its VJP run in place on blocks of ``_ROW_BLOCK`` rows
+    of each image: the weights are bitwise the softmax of the whole score
+    stack (both in canonical order), and the gradients are those of the
+    whole matrices."""
+
+    N = 2 * _ROW_BLOCK + 5
+    # groups of one partial block, of one block and a row, of two whole
+    # blocks, and of less than a block
+    COUNTS = (_ROW_BLOCK - 1, _ROW_BLOCK + 1, _ROW_BLOCK + 1, 2 * _ROW_BLOCK, 3)
+
+    def check(self, x, params, cfg, counts=None, seed=0):
+        out, cache = nlroi_forward(x, params, cfg, counts=counts)
+        scores = in_canonical_order(cache, cache.scores)
+        for s, attn in zip(scores, in_canonical_order(cache, cache.attention)):
+            whole = ops.softmax_rows(s, mask_diagonal=not cfg.attend_to_self)
+            assert attn.tobytes() == whole.tobytes()
+        # dX along one direction against a central difference
+        prng = Prng(seed)
+        proj = prng.normals(out.size).reshape(out.shape)
+        v = prng.normals(x.size).reshape(x.shape)
+        dx, _ = nlroi_backward(cache, params, cfg, proj)
+
+        def loss(blob):
+            return np.sum(nlroi_forward(blob, params, cfg, counts=counts)[0] * proj)
+
+        step = 1e-6
+        numeric = (loss(x + step * v) - loss(x - step * v)) / (2 * step)
+        assert abs(np.sum(dx * v) - numeric) <= 1e-6 * abs(numeric)
+
+    def test_one_image(self):
+        for attend in (True, False):
+            cfg = small_config(attend_to_self=attend)
+            x, params = random_case(130, self.N, cfg)
+            self.check(x, params, cfg, seed=131)
+
+    def test_images_across_block_edges(self):
+        for attend in (True, False):
+            cfg = small_config(attend_to_self=attend)
+            x, params = random_case(132, sum(self.COUNTS), cfg)
+            self.check(x, params, cfg, counts=self.COUNTS, seed=133)
+
+    def test_twins_across_a_block_edge(self):
+        """A run of ``_ROW_BLOCK + 6`` twins covers canonical rows
+        ``_ROW_BLOCK - 1`` and ``_ROW_BLOCK`` wherever the sort puts it. The
+        first twin's row is the whole stack's softmax; every other twin's
+        row is the first's with the two twins' columns swapped."""
+        run = _ROW_BLOCK + 6
+        picks = (0,) * run + tuple(range(1, self.N - run + 1))
+        for attend in (True, False):
+            cfg = small_config(attend_to_self=attend)
+            _, params = random_case(134, 1, cfg)
+            x = twin_blob(cfg, 135, picks)
+            _, cache = nlroi_forward(x, params, cfg)
+            twins = np.sort(np.argsort(cache.order)[:run])
+            assert twins[0] < _ROW_BLOCK <= twins[-1]
+            assert np.array_equal(twins, np.arange(twins[0], twins[0] + run))
+            (attn,) = in_canonical_order(cache, cache.attention)[0]
+            (s,) = in_canonical_order(cache, cache.scores)[0]
+            whole = ops.softmax_rows(s, mask_diagonal=not attend)
+            first = twins[0]
+            for k in range(self.N):
+                if k in twins[1:]:
+                    swapped = attn[first].copy()
+                    swapped[[k, first]] = swapped[[first, k]]
+                    assert attn[k].tobytes() == swapped.tobytes(), k
+                else:
+                    assert attn[k].tobytes() == whole[k].tobytes(), k
+
+
+class TestMemory:
+    def test_large_n_peaks(self):
+        """At large_n's config and N = 1024 (tracemalloc): the forward's peak
+        is at most three N x N stacks and the backward's, with the cache
+        live, at most four."""
+        cfg = NlRoiConfig(d=8, d_f=4, d_mid=4, d_g=4, h=4, w=4,
+                          attend_to_self=False, scaling=Scaling.FULL_FLATTEN)
+        n = 1024
+        x, params = random_case(140, n, cfg)
+        up = Prng(141).normals(n * (cfg.d + cfg.d_g) * 16).reshape(n, cfg.d + cfg.d_g, 4, 4)
+        stack = n * n * 8
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out, cache = nlroi_forward(x, params, cfg)
+            fwd = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            nlroi_backward(cache, params, cfg, up)
+            bwd = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert fwd <= 3 * stack, f"forward peak {fwd / stack:.2f} stacks"
+        assert bwd <= 4 * stack, f"backward peak {bwd / stack:.2f} stacks"
 
 
 class TestParamsContainer:

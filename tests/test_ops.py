@@ -222,6 +222,28 @@ class TestSoftmaxRows:
         with pytest.raises(DegenerateAttentionError):
             ops.softmax_rows(np.zeros((3, 1, 1)), mask_diagonal=True)
 
+    def test_row_blocks_in_place_bitwise(self):
+        """Blocks of rows of a stack, normalized in place with ``first_row``
+        placing the masked diagonal, give the whole stack's weights bit for
+        bit."""
+        prng = Prng(7)
+        s = prng.normals(3 * 11 * 11).reshape(3, 11, 11) * 30.0
+        for mask in (False, True):
+            whole = ops.softmax_rows(s, mask_diagonal=mask)
+            blocks = s.copy()
+            for first in range(0, 11, 4):
+                block = blocks[:, first : first + 4]
+                out = ops.softmax_rows(block, mask_diagonal=mask, first_row=first, in_place=True)
+                assert out is block
+            assert blocks.tobytes() == whole.tobytes()
+
+    def test_row_block_must_hold_its_diagonal(self):
+        for first in (-1, 3):
+            with pytest.raises(DimensionError):
+                ops.softmax_rows(np.zeros((2, 4)), mask_diagonal=True, first_row=first)
+        out = ops.softmax_rows(np.zeros((1, 2)), mask_diagonal=True, first_row=1)
+        assert np.array_equal(out, [[1.0, 0.0]])
+
     def test_row_shift_invariance(self):
         prng = Prng(5)
         s = prng.normals(12).reshape(3, 4)
@@ -372,14 +394,25 @@ class TestVjps:
         prng = Prng(24)
         s = prng.normals(20).reshape(4, 5)
         up = prng.normals(20).reshape(4, 5)
-        ds = ops.softmax_vjp_from_probs(ops.softmax_rows(s), up)
+        ds = ops.softmax_vjp_from_probs(ops.softmax_rows(s), up.copy())
         assert max_rel(ds, fd_grad(lambda v: np.sum(ops.softmax_rows(v) * up), s)) < 1e-6
+
+    def test_softmax_vjp_in_place_on_row_blocks_bitwise(self):
+        prng = Prng(27)
+        s = prng.normals(2 * 9 * 9).reshape(2, 9, 9)
+        p = ops.softmax_rows(s, True)
+        up = prng.normals(s.size).reshape(s.shape)
+        whole = ops.softmax_vjp_from_probs(p, up.copy())
+        for first in range(0, 9, 4):
+            block = up[:, first : first + 4]
+            assert ops.softmax_vjp_from_probs(p[:, first : first + 4], block) is block
+        assert up.tobytes() == whole.tobytes()
 
     def test_softmax_vjp_masked_fd_and_zero_diag(self):
         prng = Prng(25)
         s = prng.normals(16).reshape(4, 4)
         up = prng.normals(16).reshape(4, 4)
-        ds = ops.softmax_vjp_from_probs(ops.softmax_rows(s, True), up)
+        ds = ops.softmax_vjp_from_probs(ops.softmax_rows(s, True), up.copy())
         assert np.array_equal(np.diag(ds), np.zeros(4))
         num = fd_grad(lambda v: np.sum(ops.softmax_rows(v, True) * up), s)
         assert max_rel(ds, num) < 1e-6
