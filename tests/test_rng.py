@@ -1,7 +1,10 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from nlroi.rng import Prng
+from nlroi.rng import _CHUNK, Prng
 
 
 class TestStream:
@@ -91,6 +94,35 @@ class TestDerivedDraws:
         a.sample_indices(4, 0)
         assert a.next_u64() == b.next_u64()
 
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda p, k: p.u64s(k),
+            lambda p, k: p.uniforms(k),
+            lambda p, k: p.normals(k),
+            lambda p, k: p.uniforms_in(k, -1.0, 1.0),
+        ],
+        ids=["u64s", "uniforms", "normals", "uniforms_in"],
+    )
+    def test_negative_count_raises_and_leaves_state_alone(self, draw):
+        # a negative count once moved the state back and replayed outputs
+        a = Prng(6)
+        b = Prng(6)
+        for count in (-1, -3):
+            with pytest.raises(ValueError, match=f"got {count}$"):
+                draw(a, count)
+        assert a.next_u64() == b.next_u64()
+
+    def test_numpy_integer_count(self):
+        # count * GAMMA overflowed an int64 count
+        a = Prng(6)
+        b = Prng(6)
+        assert a.normals(np.int64(5)).tobytes() == b.normals(5).tobytes()
+        assert a.u64s(np.uint32(3)).tolist() == b.u64s(3).tolist()
+        with pytest.raises(TypeError):
+            a.uniforms(5.0)
+        assert a.next_u64() == b.next_u64()
+
     def test_sample_indices_match_scalar_shuffle(self):
         """The block draw gives the swaps that one randint(n - i) per swap
         gave, and leaves the stream where that loop left it."""
@@ -108,3 +140,54 @@ class TestDerivedDraws:
                 b = Prng(seed * 1000 + n)
                 assert a.sample_indices(n, k) == loop(b, n, k)
                 assert a.next_u64() == b.next_u64()
+
+
+class TestChunks:
+    """Block draws fill their result one chunk of ``_CHUNK`` outputs at a
+    time; the chunks must give the bits of the whole stream."""
+
+    @pytest.mark.parametrize("count", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+    def test_chunk_edges_match_scalar(self, count):
+        for seed in (5, 2**64 - 1):
+            ref = Prng(seed)
+            scalar = [ref.next_u64() for _ in range(count)]
+            after = ref.next_u64()
+            a = Prng(seed)
+            assert a.u64s(count).tolist() == scalar
+            assert a.next_u64() == after
+            b = Prng(seed)
+            singles = np.array([(v >> 11) * 2.0**-53 for v in scalar])
+            assert np.array_equal(b.uniforms(count), singles)
+            assert b.next_u64() == after
+
+    def test_normals_equal_consecutive_smaller_draws_across_a_chunk_edge(self):
+        # normals(k) takes 2k uniforms: the whole draw crosses two chunk
+        # edges, and the middle piece starts 2 uniforms before the first
+        whole_prng, parts_prng = Prng(12), Prng(12)
+        whole = whole_prng.normals(_CHUNK + 7)
+        parts = [parts_prng.normals(k) for k in (_CHUNK // 2 - 1, 3, _CHUNK // 2 + 5)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+        assert whole_prng.next_u64() == parts_prng.next_u64()
+
+    def test_frozen_digests(self):
+        # SHA-256 of the bytes the whole-array draws gave before chunking
+        normals = Prng(7).normals(2_007_040)
+        assert hashlib.sha256(normals.tobytes()).hexdigest() == (
+            "6c4a83e18409f7e7080cbab5aff9e5fcc8847e421f11ea58820b4954c150aaaa"
+        )
+        weights = Prng(7).uniforms_in(2_007_040, -0.5, 0.25)
+        assert hashlib.sha256(weights.tobytes()).hexdigest() == (
+            "179eef10ea079b04013405eeff31c9769493fd36e5959d820cbe1c05a989ed51"
+        )
+
+    def test_normals_peak_is_about_its_output(self):
+        # whole-array temporaries held 4x the output
+        prng = Prng(1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = prng.normals(2_007_040)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * out.nbytes
