@@ -64,13 +64,6 @@ def _seed(args, cfg: ConfigFile) -> int:
     return cfg.seed if args.seed is None else args.seed
 
 
-def _model_tensors(model: ToyModel) -> list:
-    named = [("w_head", model.w_head), ("b_head", model.b_head)]
-    if model.nlroi_params is not None:
-        named += model.nlroi_params.tensors()
-    return named
-
-
 def _model_from_weights(named: dict, cfg: ConfigFile) -> ToyModel:
     for name, value in named.items():
         _require_finite(value, f"weights tensor {name!r}")
@@ -142,7 +135,7 @@ def _cmd_train(args) -> int:
         log_fn=log,
     )
     out = args.out if args.out is not None else "weights.bin"
-    save_weights(out, _model_tensors(model))
+    save_weights(out, model.tensors())
     print(f"saved {args.variant} weights to {out}", file=sys.stderr)
     return 0
 
@@ -208,7 +201,7 @@ def _cmd_init(args) -> int:
     nl_config = cfg.nlroi_config() if args.variant == "nlroi" else None
     model = init_model(spec, nl_config, prng)
     out = args.out if args.out is not None else "weights.bin"
-    save_weights(out, _model_tensors(model))
+    save_weights(out, model.tensors())
     print(f"saved fresh {args.variant} weights to {out}", file=sys.stderr)
     return 0
 

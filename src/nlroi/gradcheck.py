@@ -12,22 +12,23 @@ gradients are compared absolutely. Step 1e-5 balances truncation against
 round-off in 64-bit arithmetic; it and the tolerance 1e-6 are module
 constants, deliberately not configurable.
 
-The projection is drawn with a small scale (1e-6). One parameter, the psi
-bias, has an exactly zero loss gradient for structural reasons: shifting
-psi adds a per-row constant to the score matrix, and a row softmax is
-invariant under that shift. Central differences on a zero-gradient
-coordinate return pure cancellation noise of order |loss|*eps/step, and
-the comparison floor (1e-8) together with the tolerance (1e-6) demands
-that noise stay below 1e-14, which only holds when the loss itself is
-small. Scaling the projection conditions the probe without weakening it:
-real gradients (~1e-5 here) still sit orders of magnitude above the
-comparison floor, so sign and magnitude errors in any backward path are
-still caught.
+The projection is drawn with a small scale (1e-6). Central differences
+carry cancellation noise of order |loss|*eps/step on every coordinate,
+and a coordinate whose gradient is small next to that noise fails a
+relative comparison. Without the scale, checks at the CLI's default
+configuration (8 RoIs, D=16; 12 seeds in each of 3 modes) fail 11 of 36
+times, on coordinates of x, w_phi and w_psi about 1e-4 the size of the
+tensor's largest gradient (worst relative error 5.3e-6). With it, such
+coordinates fall under the comparison floor (1e-8) and are compared
+absolutely, against noise that shrank with the loss, while real
+gradients (~1e-5 here) still sit orders of magnitude above the floor, so
+sign and magnitude errors in any backward path are still caught.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,7 +104,7 @@ def _compare(name: str, analytic: np.ndarray, numeric: np.ndarray, checks: dict)
 
 
 def check_all_gradients(config: NlRoiConfig, seed: int, n: int = 4) -> GradReport:
-    """Verify dX and all eight parameter gradients of the operator.
+    """Verify dX and every parameter gradient of the operator.
 
     The blob (n RoIs) and every parameter tensor are drawn from the seeded
     PRNG; the loss is sum(forward(X) * R) for a fixed random projection R,
@@ -114,10 +115,9 @@ def check_all_gradients(config: NlRoiConfig, seed: int, n: int = 4) -> GradRepor
         n, config.d, config.h, config.w
     )
     shapes = NlRoiParams.shapes(config)
-    drawn = {}
-    for name, shape in shapes.items():
-        drawn[name] = 0.5 * prng.normals(int(np.prod(shape))).reshape(shape)
-    params = NlRoiParams(**drawn)
+    params = NlRoiParams(
+        **{name: 0.5 * prng.normals(math.prod(s)).reshape(s) for name, s in shapes.items()}
+    )
 
     out, cache = nlroi_forward(x, params, config)
     projection = PROJECTION_SCALE * prng.normals(out.size).reshape(out.shape)

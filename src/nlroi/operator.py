@@ -52,7 +52,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -97,15 +97,15 @@ class NlRoiConfig:
         return math.sqrt(self.d_f * self.h * self.w)
 
 
-_PARAM_ORDER = ("w_phi", "b_phi", "w_psi", "b_psi", "w_g1", "b_g1", "w_g2", "b_g2")
-
-
-@dataclass
+@dataclass(slots=True)
 class NlRoiParams:
+    """The operator's tensors, in the order ``init_params`` draws them. psi
+    has no bias: one would add phi_i . b_psi to every score of row i, which
+    the row softmax removes."""
+
     w_phi: np.ndarray
     b_phi: np.ndarray
     w_psi: np.ndarray
-    b_psi: np.ndarray
     w_g1: np.ndarray
     b_g1: np.ndarray
     w_g2: np.ndarray
@@ -117,7 +117,6 @@ class NlRoiParams:
             "w_phi": (config.d_f, config.d),
             "b_phi": (config.d_f,),
             "w_psi": (config.d_f, config.d),
-            "b_psi": (config.d_f,),
             "w_g1": (config.d_mid, config.d),
             "b_g1": (config.d_mid,),
             "w_g2": (config.d_g, config.d_mid, 3, 3),
@@ -125,15 +124,18 @@ class NlRoiParams:
         }
 
     def tensors(self) -> list:
-        """Named tensors in canonical (PRNG-consumption) order."""
-        return [(name, getattr(self, name)) for name in _PARAM_ORDER]
+        """Named tensors in field (PRNG-consumption) order."""
+        return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
     @classmethod
     def from_named(cls, named: dict) -> "NlRoiParams":
-        missing = [n for n in _PARAM_ORDER if n not in named]
+        """The operator's tensors from a name -> array mapping; other names
+        (a head's tensors, an old file's b_psi) are ignored."""
+        names = [f.name for f in fields(cls)]
+        missing = [n for n in names if n not in named]
         if missing:
             raise DimensionError(f"missing parameter tensors: {missing}")
-        return cls(**{n: np.asarray(named[n], dtype=np.float64) for n in _PARAM_ORDER})
+        return cls(**{n: np.asarray(named[n], dtype=np.float64) for n in names})
 
     def validate(self, config: NlRoiConfig) -> None:
         for name, want in self.shapes(config).items():
@@ -199,21 +201,14 @@ def init_params(config: NlRoiConfig, prng: Prng) -> NlRoiParams:
     PRNG draws in row-major order, in the fixed sequence w_phi, w_psi,
     w_g1, w_g2; biases are deterministic zeros and draw nothing.
     """
-
-    def draw(shape, fan_in):
-        s = math.sqrt(6.0 / fan_in)
-        return prng.uniforms_in(int(np.prod(shape)), -s, s).reshape(shape)
-
-    return NlRoiParams(
-        w_phi=draw((config.d_f, config.d), config.d),
-        b_phi=np.zeros(config.d_f),
-        w_psi=draw((config.d_f, config.d), config.d),
-        b_psi=np.zeros(config.d_f),
-        w_g1=draw((config.d_mid, config.d), config.d),
-        b_g1=np.zeros(config.d_mid),
-        w_g2=draw((config.d_g, config.d_mid, 3, 3), config.d_mid * 9),
-        b_g2=np.zeros(config.d_g),
-    )
+    named = {}
+    for name, shape in NlRoiParams.shapes(config).items():
+        if name.startswith("b_"):
+            named[name] = np.zeros(shape)
+        else:
+            s = math.sqrt(6.0 / math.prod(shape[1:]))
+            named[name] = prng.uniforms_in(math.prod(shape), -s, s).reshape(shape)
+    return NlRoiParams(**named)
 
 
 def _check_blob(x: np.ndarray, config: NlRoiConfig) -> np.ndarray:
@@ -284,9 +279,7 @@ def attention_weights(s: np.ndarray, attend_to_self: bool, first_row=None) -> np
     attend_to_self false the diagonal receives exactly zero weight (scores
     treated as -inf, rows renormalized over the rest).
     """
-    return ops.softmax_rows(
-        s, mask_diagonal=not attend_to_self, first_row=first_row, in_place=True
-    )
+    return ops.softmax_rows(s, mask_diagonal=not attend_to_self, first_row=first_row)
 
 
 def _canonical_order(groups: tuple, *blobs):
@@ -392,7 +385,7 @@ def nlroi_forward(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig, count
     groups = _groups(counts)
     order, twins = _canonical_order(groups, x)
     phi = _flat_embed(x, params.w_phi, params.b_phi)[order]
-    psi = _flat_embed(x, params.w_psi, params.b_psi)[order]
+    psi = _flat_embed(x, params.w_psi, np.zeros(config.d_f))[order]
     g_pre = ops.conv2d_1x1(x, params.w_g1, params.b_g1)
     g_post = ops.relu(g_pre)
     g = ops.conv2d_3x3_pooled(g_post, params.w_g2, params.b_g2)[order]
@@ -477,7 +470,7 @@ def nlroi_reference(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig) -> 
     psi = np.empty((n, flat_len))
     for i in range(n):
         phi[i] = conv1x1_rows(x[i], params.w_phi, params.b_phi, d_f).reshape(-1)
-        psi[i] = conv1x1_rows(x[i], params.w_psi, params.b_psi, d_f).reshape(-1)
+        psi[i] = conv1x1_rows(x[i], params.w_psi, np.zeros(d_f), d_f).reshape(-1)
 
     # per-RoI embedding g(x_j): 1x1 conv, relu, 3x3 conv with zero padding,
     # then an average over positions taken in ascending (row, col) order
@@ -619,7 +612,6 @@ def nlroi_backward(
         w_phi=d_w[:d_f],
         b_phi=d_b[:d_f],
         w_psi=d_w[d_f : 2 * d_f],
-        b_psi=d_b[d_f : 2 * d_f],
         w_g1=d_w[2 * d_f :],
         b_g1=d_b[2 * d_f :],
         w_g2=d_w_g2,

@@ -1,7 +1,7 @@
 """Primitive tensor operations and their vector-Jacobian products.
 
 Tensors are C-contiguous float64 numpy arrays, and every operation is a
-pure function of its inputs, except that the softmax and its VJP may
+pure function of its inputs, except that the softmax and its VJP
 overwrite theirs (below). What the operations guarantee about their bits,
 given N RoIs along the leading axis:
 
@@ -21,11 +21,11 @@ given N RoIs along the leading axis:
   leading batch axis. Each matrix of the stack gets exactly the
   operations it would get alone, so its bits do not depend on the others.
 * ``softmax_rows`` and ``softmax_vjp_from_probs`` compute each row on its
-  own. ``softmax_rows`` overwrites its scores when asked (``in_place``);
-  ``softmax_vjp_from_probs`` always overwrites its upstream. A block of a
-  matrix's rows (``first_row`` places the masked diagonal) gets bitwise
-  the rows the whole matrix would, so the operator runs both in place on
-  row blocks and makes no N x N temporary for them.
+  own, and both write in place: ``softmax_rows`` overwrites its scores,
+  ``softmax_vjp_from_probs`` its upstream. A block of a matrix's rows
+  (``first_row`` places the masked diagonal) gets bitwise the rows the
+  whole matrix would, so the operator runs both on row blocks and makes no
+  N x N temporary for them.
 
 All operations are deterministic run to run on one machine with one
 NumPy/BLAS build. The VJPs contract with BLAS (``@``) and sum with NumPy
@@ -201,8 +201,9 @@ def conv2d_3x3_pooled_vjp(x: np.ndarray, w: np.ndarray, d_out: np.ndarray):
     return dx, dw, d_out.sum(axis=0)
 
 
-def softmax_rows(s, mask_diagonal=False, first_row=None, in_place=False) -> np.ndarray:
-    """Row softmax with max subtraction; optionally zeroes the diagonal.
+def softmax_rows(s: np.ndarray, mask_diagonal=False, first_row=None) -> np.ndarray:
+    """Row softmax with max subtraction, in place: returns ``s``, a float64
+    array (a view is fine), overwritten with the weights.
 
     A stack (B, n, m) is normalized matrix by matrix. With ``mask_diagonal``
     the diagonal entries receive exactly zero weight and each row
@@ -210,13 +211,9 @@ def softmax_rows(s, mask_diagonal=False, first_row=None, in_place=False) -> np.n
     before exponentiation). ``s`` is then a square matrix, or, given
     ``first_row``, a block of the rows of one: row i of the block is row
     ``first_row + i`` of the matrix and has its diagonal entry in that
-    column. With ``in_place`` the weights overwrite ``s``, which must be a
-    float64 array (a view is fine). Every row gets the same operations in
-    any of these forms, so a block's weights are bitwise the whole
-    matrix's.
+    column. Every row gets the same operations in any of these forms, so a
+    block's weights are bitwise the whole matrix's.
     """
-    if not in_place:
-        s = np.array(s, dtype=np.float64, order="C")
     _require_matrices(s, "softmax input")
     n, m = s.shape[-2:]
     if mask_diagonal:

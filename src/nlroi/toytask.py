@@ -165,6 +165,11 @@ class ToyModel:
     w_head: np.ndarray  # (K, D) or (K, D + D_g)
     b_head: np.ndarray  # (K,)
 
+    def tensors(self) -> list:
+        """Named trainable tensors: the head's, then the operator's."""
+        params = [] if self.nlroi_params is None else self.nlroi_params.tensors()
+        return [("w_head", self.w_head), ("b_head", self.b_head)] + params
+
 
 def init_model(
     spec: SceneSpec,
@@ -222,12 +227,12 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray, counts):
     logits; ``counts`` gives the rows of each scene, in order."""
     n = logits.shape[0]
     rows_per_scene = np.repeat(np.asarray(counts, dtype=np.float64), counts)
-    probs = ops.softmax_rows(logits)
     shifted = logits - np.max(logits, axis=1, keepdims=True)
-    lse = np.log(np.sum(np.exp(shifted), axis=1))
+    e = np.exp(shifted)
+    total = np.sum(e, axis=1, keepdims=True)
     picked = shifted[np.arange(n), labels]
-    loss = float(np.sum((lse - picked) / rows_per_scene))
-    d_logits = probs.copy()
+    loss = float(np.sum((np.log(total[:, 0]) - picked) / rows_per_scene))
+    d_logits = e / total
     d_logits[np.arange(n), labels] -= 1.0
     return loss, d_logits / rows_per_scene[:, None]
 
@@ -273,10 +278,8 @@ def train(
     prng = Prng(seed)
     model = init_model(spec, nlroi_config, prng)
 
-    trainable = [("w_head", model), ("b_head", model)]
-    if model.nlroi_params is not None:
-        trainable += [(name, model.nlroi_params) for name, _ in model.nlroi_params.tensors()]
-    velocity = {name: np.zeros_like(getattr(owner, name)) for name, owner in trainable}
+    params = [p for _, p in model.tensors()]
+    velocity = [np.zeros_like(p) for p in params]
 
     losses = []
     for step in range(1, hyper.steps + 1):
@@ -288,18 +291,17 @@ def train(
         # diverged step brings
         if not np.isfinite(step_loss):
             raise DivergenceError(step, step_loss)
-        grads = {"w_head": d_logits.T @ pooled, "b_head": np.sum(d_logits, axis=0)}
+        grads = [d_logits.T @ pooled, np.sum(d_logits, axis=0)]
         if cache is not None:
             # the pool's VJP: each row's gradient spread evenly over H x W
             d_pooled = d_logits @ model.w_head / (spec.h * spec.w)
             d_feats = ops.tile_spatial(d_pooled, spec.h, spec.w)
             _, d_nlroi = nlroi_backward(cache, model.nlroi_params, model.nlroi_config, d_feats)
-            grads.update(d_nlroi.tensors())
-        for name, owner in trainable:
-            p = getattr(owner, name)
-            g = grads[name] / hyper.scenes_per_step + hyper.weight_decay * p
-            velocity[name] = hyper.momentum * velocity[name] + g
-            setattr(owner, name, p - hyper.learning_rate * velocity[name])
+            grads += [g for _, g in d_nlroi.tensors()]
+        for p, v, g in zip(params, velocity, grads, strict=True):
+            v *= hyper.momentum
+            v += g / hyper.scenes_per_step + hyper.weight_decay * p
+            p -= hyper.learning_rate * v
         if log_fn is not None and step % log_every == 0:
             log_fn(step, step_loss)
     return model, losses

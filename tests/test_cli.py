@@ -8,6 +8,7 @@ import pytest
 
 from nlroi.cli import main
 from nlroi.operator import NlRoiConfig
+from nlroi.rng import Prng
 from nlroi.weights import load_weights, save_weights
 
 FAST_TRAIN = "\n".join(
@@ -153,6 +154,31 @@ class TestTrainEval:
                          "--seed", "9", "--out", str(out)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    def test_eval_ignores_an_old_files_psi_bias(self, tmp_path, capsys, fast_config):
+        """Files written before psi lost its bias hold a b_psi tensor after
+        w_psi; eval ignores it and reads the same accuracy."""
+        new = tmp_path / "new.bin"
+        assert main(["train", "--variant", "nlroi", "--config", fast_config,
+                     "--seed", "5", "--out", str(new)]) == 0
+        named = load_weights(new)
+        assert list(named) == ["w_head", "b_head", "w_phi", "b_phi", "w_psi",
+                               "w_g1", "b_g1", "w_g2", "b_g2"]
+        old_layout = []
+        for name, tensor in named.items():
+            old_layout.append((name, tensor))
+            if name == "w_psi":
+                old_layout.append(("b_psi", Prng(6).normals(tensor.shape[0])))
+        old = tmp_path / "old.bin"
+        save_weights(old, old_layout)
+        capsys.readouterr()
+        lines = []
+        for path in (new, old):
+            assert main(["eval", "--weights", str(path), "--config", fast_config,
+                         "--seed", "5", "--scenes", "200"]) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[0].startswith("ACCURACY ")
+        assert lines[1] == lines[0]
 
     def test_eval_missing_weights(self, capsys, fast_config):
         rc = main(["eval", "--weights", "/nonexistent/w.bin", "--config", fast_config])

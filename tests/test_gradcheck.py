@@ -90,7 +90,7 @@ class TestCheckAllGradients:
         report = check_all_gradients(
             NlRoiConfig(d=6, d_f=3, d_mid=3, d_g=4, h=2, w=2), seed=14, n=3
         )
-        want = {"x", "w_phi", "b_phi", "w_psi", "b_psi", "w_g1", "b_g1", "w_g2", "b_g2"}
+        want = {"x", "w_phi", "b_phi", "w_psi", "w_g1", "b_g1", "w_g2", "b_g2"}
         assert set(report.checks) == want
 
     def test_zero_tolerance_fails(self):
@@ -132,7 +132,7 @@ class TestOneHotRows:
             assert np.array_equal(cache.attention[0][0], [[0.0, 1.0], [1.0, 0.0]])
             up = Prng(50 + seed).normals(out.size).reshape(out.shape)
             _, grads = nlroi_backward(cache, params, self.CFG, up)
-            for name in ("w_phi", "b_phi", "w_psi", "b_psi"):
+            for name in ("w_phi", "b_phi", "w_psi"):
                 assert np.array_equal(getattr(grads, name), np.zeros_like(getattr(params, name))), name
             report = check_all_gradients(self.CFG, seed=60 + seed, n=2)
             assert report.passed, format_report(report)

@@ -215,9 +215,9 @@ class TestSoftmaxRows:
         prng = Prng(6)
         s = prng.normals(5 * 4 * 4).reshape(5, 4, 4) * 30.0
         for mask in (False, True):
-            stacked = ops.softmax_rows(s, mask_diagonal=mask)
+            stacked = ops.softmax_rows(s.copy(), mask_diagonal=mask)
             for k in range(5):
-                alone = ops.softmax_rows(s[k], mask_diagonal=mask)
+                alone = ops.softmax_rows(s[k].copy(), mask_diagonal=mask)
                 assert stacked[k].tobytes() == alone.tobytes()
         with pytest.raises(DegenerateAttentionError):
             ops.softmax_rows(np.zeros((3, 1, 1)), mask_diagonal=True)
@@ -229,11 +229,11 @@ class TestSoftmaxRows:
         prng = Prng(7)
         s = prng.normals(3 * 11 * 11).reshape(3, 11, 11) * 30.0
         for mask in (False, True):
-            whole = ops.softmax_rows(s, mask_diagonal=mask)
             blocks = s.copy()
+            whole = ops.softmax_rows(s.copy(), mask_diagonal=mask)
             for first in range(0, 11, 4):
                 block = blocks[:, first : first + 4]
-                out = ops.softmax_rows(block, mask_diagonal=mask, first_row=first, in_place=True)
+                out = ops.softmax_rows(block, mask_diagonal=mask, first_row=first)
                 assert out is block
             assert blocks.tobytes() == whole.tobytes()
 
@@ -243,6 +243,11 @@ class TestSoftmaxRows:
                 ops.softmax_rows(np.zeros((2, 4)), mask_diagonal=True, first_row=first)
         out = ops.softmax_rows(np.zeros((1, 2)), mask_diagonal=True, first_row=1)
         assert np.array_equal(out, [[1.0, 0.0]])
+
+    def test_overwrites_its_input(self):
+        s = np.array([[0.0, 0.0], [math.log(3.0), 0.0]])
+        assert ops.softmax_rows(s) is s
+        assert np.array_equal(s[0], [0.5, 0.5])
 
     def test_row_shift_invariance(self):
         prng = Prng(5)
@@ -394,7 +399,7 @@ class TestVjps:
         prng = Prng(24)
         s = prng.normals(20).reshape(4, 5)
         up = prng.normals(20).reshape(4, 5)
-        ds = ops.softmax_vjp_from_probs(ops.softmax_rows(s), up.copy())
+        ds = ops.softmax_vjp_from_probs(ops.softmax_rows(s.copy()), up.copy())
         assert max_rel(ds, fd_grad(lambda v: np.sum(ops.softmax_rows(v) * up), s)) < 1e-6
 
     def test_softmax_vjp_in_place_on_row_blocks_bitwise(self):
@@ -412,7 +417,7 @@ class TestVjps:
         prng = Prng(25)
         s = prng.normals(16).reshape(4, 4)
         up = prng.normals(16).reshape(4, 4)
-        ds = ops.softmax_vjp_from_probs(ops.softmax_rows(s, True), up.copy())
+        ds = ops.softmax_vjp_from_probs(ops.softmax_rows(s.copy(), True), up.copy())
         assert np.array_equal(np.diag(ds), np.zeros(4))
         num = fd_grad(lambda v: np.sum(ops.softmax_rows(v, True) * up), s)
         assert max_rel(ds, num) < 1e-6

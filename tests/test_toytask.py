@@ -253,11 +253,6 @@ def train_per_scene(variant, hyper, seed):
     return model, losses
 
 
-def model_tensors(model):
-    named = [("w_head", model.w_head), ("b_head", model.b_head)]
-    return named + (model.nlroi_params.tensors() if model.nlroi_params else [])
-
-
 class TestBatchedSteps:
     """One call per step gives what one call per scene gave."""
 
@@ -267,7 +262,7 @@ class TestBatchedSteps:
             model, losses = train(variant, SPEC, OP, hyper, seed=95)
             ref_model, ref_losses = train_per_scene(variant, hyper, seed=95)
             assert np.max(np.abs(np.subtract(losses, ref_losses)) / np.abs(ref_losses)) < 1e-12
-            for (name, got), (_, want) in zip(model_tensors(model), model_tensors(ref_model)):
+            for (name, got), (_, want) in zip(model.tensors(), ref_model.tensors()):
                 assert np.max(np.abs(got - want)) < 1e-10, (variant, name)
 
     def test_evaluate_matches_per_scene_accuracy(self):
@@ -300,7 +295,7 @@ class TestBlockDrawnSteps:
                 accs = [evaluate(model, scenes, seed=100) for scenes in (1, 8, 13)]
                 runs[route, variant] = (
                     np.asarray(losses).tobytes(),
-                    [t.tobytes() for _, t in model_tensors(model)],
+                    [t.tobytes() for _, t in model.tensors()],
                     accs,
                 )
         for variant in ("nlroi", "baseline"):
