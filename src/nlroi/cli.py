@@ -71,7 +71,6 @@ def _model_from_weights(named: dict, cfg: ConfigFile) -> ToyModel:
     if "w_phi" in named:
         nl_config = cfg.nlroi_config()
         nl_params = NlRoiParams.from_named(named)
-        nl_params.validate(nl_config)
         head_in = cfg.d + cfg.d_g
     else:
         nl_config = None

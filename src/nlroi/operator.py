@@ -129,13 +129,14 @@ class NlRoiParams:
 
     @classmethod
     def from_named(cls, named: dict) -> "NlRoiParams":
-        """The operator's tensors from a name -> array mapping; other names
-        (a head's tensors, an old file's b_psi) are ignored."""
+        """The operator's tensors from a name -> array mapping, as C-contiguous
+        float64 arrays (an array that already is one is taken as it is);
+        other names (a head's tensors, an old file's b_psi) are ignored."""
         names = [f.name for f in fields(cls)]
         missing = [n for n in names if n not in named]
         if missing:
             raise DimensionError(f"missing parameter tensors: {missing}")
-        return cls(**{n: np.asarray(named[n], dtype=np.float64) for n in names})
+        return cls(**{n: np.ascontiguousarray(named[n], dtype=np.float64) for n in names})
 
     def validate(self, config: NlRoiConfig) -> None:
         for name, want in self.shapes(config).items():
@@ -169,7 +170,6 @@ class ForwardCache:
     attn: list               # per group: row-stochastic weights
     g_pre: np.ndarray        # (N, D_mid, H, W) before the ReLU, call order
     g_post: np.ndarray       # (N, D_mid, H, W) after the ReLU, call order
-    y_vec: np.ndarray        # (N, D_g) attention-mixed output, call order
 
     def _in_call_order(self, stacks: list) -> list:
         out = []
@@ -270,12 +270,12 @@ def _flat_embed(x, w, b):
 _ROW_BLOCK = 64
 
 
-def attention_weights(s: np.ndarray, attend_to_self: bool, first_row=None) -> np.ndarray:
+def attention_weights(s: np.ndarray, attend_to_self: bool, first_row=0) -> np.ndarray:
     """Row softmax of the score matrix, optionally excluding each RoI's self;
     overwrites the float64 array ``s`` with the weights and returns it.
 
-    ``s`` is one (n, n) matrix or a stack (images, n, n), or with
-    ``first_row`` a block of their rows (see ``ops.softmax_rows``). With
+    ``s`` is one (n, n) matrix or a stack (images, n, n), or a block of
+    their rows from ``first_row`` on (see ``ops.softmax_rows``). With
     attend_to_self false the diagonal receives exactly zero weight (scores
     treated as -inf, rows renormalized over the rest).
     """
@@ -374,8 +374,13 @@ def nlroi_forward(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig, count
     image's output rows are bitwise equal to a call with that image alone.
     An image may have 0 RoIs (a detector may propose zero regions); an
     image with 1 RoI is degenerate when attend_to_self is false and raises.
+
+    This entry checks every input against ``config`` and hands the ops
+    C-contiguous float64 arrays, which the ops take without checks.
     """
     x = _check_blob(x, config)
+    params = NlRoiParams.from_named(dict(params.tensors()))
+    params.validate(config)
     counts = _image_counts(counts, x.shape[0])
     if not config.attend_to_self and 1 in counts:
         raise DegenerateAttentionError(
@@ -388,7 +393,9 @@ def nlroi_forward(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig, count
     psi = _flat_embed(x, params.w_psi, np.zeros(config.d_f))[order]
     g_pre = ops.conv2d_1x1(x, params.w_g1, params.b_g1)
     g_post = ops.relu(g_pre)
-    g = ops.conv2d_3x3_pooled(g_post, params.w_g2, params.b_g2)[order]
+    g = ops.conv2d_3x3_pooled(g_post, params.w_g2, params.b_g2)
+    _require_finite(g, "g-branch embedding")
+    g = g[order]
     y_vec = np.empty(g.shape)
     attns = []
     image = 0
@@ -427,7 +434,6 @@ def nlroi_forward(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig, count
         attn=attns,
         g_pre=g_pre,
         g_post=g_post,
-        y_vec=y_vec,
     )
     return out, cache
 
@@ -559,8 +565,8 @@ def nlroi_backward(
         )
     _require_finite(d_out, "upstream gradient")
 
-    d_x_pass, d_tile = ops.concat_channels_vjp(x, np.empty((n, d_g, h, w)), d_out)
-    (d_y,) = ops.tile_spatial_vjp(cache.y_vec, h, w, d_tile)
+    d_x_pass, d_tile = ops.concat_channels_vjp(x, d_out)
+    d_y = ops.tile_spatial_vjp(d_tile)
 
     # phi, psi and g1 are 1x1 convs of x: one buffer and one VJP serve all three
     d_emb = np.empty((n, 2 * d_f + config.d_mid, h, w))
@@ -598,7 +604,7 @@ def nlroi_backward(
     )
     d_g_post = np.empty(d_g_canon.shape)
     d_g_post[order] = d_g_canon
-    d_emb[:, 2 * d_f :] = ops.relu_vjp(cache.g_pre, d_g_post)[0]
+    d_emb[:, 2 * d_f :] = ops.relu_vjp(cache.g_pre, d_g_post)
 
     w_emb = np.concatenate([params.w_phi, params.w_psi, params.w_g1])
     d_x, d_w, d_b = ops.conv2d_1x1_vjp(x, w_emb, d_emb)

@@ -50,18 +50,18 @@ def _count(count: int) -> int:
 
 
 def _to_uniforms(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``raw_to_uniforms`` into ``out``."""
+    """Doubles in [0, 1) from the top 53 bits of raw outputs, written into
+    ``out``. Shifts ``raw`` in place."""
     raw >>= _U64[11]
     return np.multiply(raw, _TWO53_INV, out=out)
 
 
 def raw_to_uniforms(raw: np.ndarray) -> np.ndarray:
-    """Doubles in [0, 1) from the top 53 bits of raw outputs, for a caller
-    that splits one block between several uses (``Prng``'s own draws stream
-    theirs in chunks). Shifts ``raw`` in place: callers pass a block they
-    are done with, so the result is the only new array."""
-    raw >>= np.uint64(11)
-    return raw * _TWO53_INV
+    """``_to_uniforms`` into a new array, for a caller that splits one
+    block between several uses (``Prng``'s own draws stream theirs in
+    chunks). Callers pass a block they are done with, so the result is the
+    only new array."""
+    return _to_uniforms(raw, np.empty(raw.shape))
 
 
 def uniforms_to_normals(u: np.ndarray) -> np.ndarray:

@@ -203,6 +203,19 @@ class TestTrainEval:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_eval_rejects_mismatched_operator_tensor(self, tmp_path, capsys, fast_config):
+        """The operator's entry checks a weights file's tensors against the
+        configuration and names the one that does not fit."""
+        weights = tmp_path / "w.bin"
+        assert main(["init", "--config", fast_config, "--out", str(weights)]) == 0
+        named = load_weights(weights)
+        named["w_g2"] = named["w_g2"][:, :-1]
+        save_weights(weights, named)
+        capsys.readouterr()
+        rc = main(["eval", "--weights", str(weights), "--config", fast_config])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: w_g2 has shape")
+
     @pytest.mark.parametrize(
         "variant, name, index, value",
         [("baseline", "w_head", (0, 0), np.nan), ("nlroi", "w_g2", (1, 0, 2, 1), np.inf)],

@@ -212,7 +212,7 @@ class TestForward:
         g = ops.conv2d_3x3_pooled(
             ops.relu(ops.conv2d_1x1(x, params.w_g1, params.b_g1)), params.w_g2, params.b_g2
         )
-        assert np.array_equal(cache.y_vec[0], g[0])
+        assert np.array_equal(out[0, cfg.d :, 0, 0], g[0])
         assert np.array_equal(cache.attention[0][0], [[1.0]])
 
     def test_first_channels_pass_through(self):
@@ -279,6 +279,21 @@ class TestForward:
                 with pytest.raises(NumericalError, match=rf"of image 1 .* at index \({i}, {i}\)$"):
                     nlroi_forward(x_bad, params, cfg, counts=counts)
 
+    @pytest.mark.parametrize(
+        "name, index, bad",
+        [("w_g2", (1, 0, 2, 1), np.nan), ("b_g2", (2,), np.inf),
+         ("w_g1", (0, 3), np.nan), ("b_g1", (1,), np.inf)],
+    )
+    def test_non_finite_g_branch_params_raise(self, name, index, bad):
+        """A non-finite phi or psi tensor breaks the scores, which are
+        checked; one in the g-branch is caught at its embedding."""
+        cfg = small_config()
+        x, params = random_case(34, 6, cfg)
+        getattr(params, name)[index] = bad
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalError, match="g-branch embedding"):
+                nlroi_forward(x, params, cfg)
+
     def test_empty_blob_passes_through(self):
         cfg = small_config()
         _, params = random_case(24, 1, cfg)
@@ -307,12 +322,12 @@ class TestForward:
         # each mixed component lies within the attended embeddings' range
         cfg = small_config()
         x, params = random_case(26, 6, cfg)
-        _, cache = nlroi_forward(x, params, cfg)
+        out, _ = nlroi_forward(x, params, cfg)
         g = g_of(x, params, cfg)
         lo = g.min(axis=0) - 1e-12
         hi = g.max(axis=0) + 1e-12
-        assert np.all(cache.y_vec >= lo[None, :])
-        assert np.all(cache.y_vec <= hi[None, :])
+        assert np.all(out[:, cfg.d :, 0, 0] >= lo[None, :])
+        assert np.all(out[:, cfg.d :, 0, 0] <= hi[None, :])
 
     def test_variable_n_same_params(self):
         cfg = small_config()
@@ -466,12 +481,13 @@ class TestMultiImage:
         for seed, (counts, attend) in enumerate(self.CASES):
             cfg = small_config(attend_to_self=attend)
             x, params = random_case(60 + seed, sum(counts), cfg)
-            out, cache = nlroi_forward(x, params, cfg, counts=counts)
+            out, _ = nlroi_forward(x, params, cfg, counts=counts)
             assert out.shape == (sum(counts), 13, 3, 3)
             for rows in split_rows(counts):
-                alone, alone_cache = nlroi_forward(x[rows], params, cfg)
+                alone, _ = nlroi_forward(x[rows], params, cfg)
                 assert out[rows].tobytes() == alone.tobytes()
-                assert cache.y_vec[rows].tobytes() == alone_cache.y_vec.tobytes()
+                y, y_alone = out[rows, cfg.d :, 0, 0], alone[:, cfg.d :, 0, 0]
+                assert y.tobytes() == y_alone.tobytes()
 
     def test_groups_stack_runs_of_equal_counts(self):
         cfg = small_config()
@@ -889,3 +905,37 @@ class TestParamsContainer:
         p.w_phi = np.zeros((2, 2))
         with pytest.raises(DimensionError):
             p.validate(cfg)
+
+
+class TestParamsAtEntry:
+    """``nlroi_forward`` checks the parameters against the config and hands
+    the ops C-contiguous float64 tensors; the ops check nothing."""
+
+    @pytest.mark.parametrize("name", list(NlRoiParams.shapes(small_config())))
+    def test_wrong_shape_names_the_tensor(self, name):
+        cfg = small_config()
+        x, params = random_case(55, 4, cfg)
+        shape = getattr(params, name).shape
+        setattr(params, name, np.zeros(shape[:-1] + (shape[-1] + 1,)))
+        with pytest.raises(DimensionError, match=rf"^{name} has shape"):
+            nlroi_forward(x, params, cfg)
+
+    def test_params_of_another_consistent_config(self):
+        """Params drawn for d_mid=6 fit each other but not a d_mid=4 call."""
+        cfg = small_config()
+        x, _ = random_case(56, 4, cfg)
+        params = init_params(small_config(d_mid=6), Prng(56))
+        with pytest.raises(DimensionError, match=r"^w_g1 has shape \(6, 8\), config implies \(4, 8\)"):
+            nlroi_forward(x, params, cfg)
+
+    def test_layout_and_dtype_do_not_change_the_bits(self):
+        # at these widths BLAS rounds Fortran-ordered weights differently
+        cfg = small_config(d=16, d_f=8, d_mid=8, d_g=8)
+        x, params = random_case(57, 9, cfg)
+        want, _ = nlroi_forward(x, params, cfg)
+        fortran = NlRoiParams(**{n: np.asfortranarray(t) for n, t in params.tensors()})
+        assert nlroi_forward(x, fortran, cfg)[0].tobytes() == want.tobytes()
+        single = NlRoiParams(**{n: t.astype(np.float32) for n, t in params.tensors()})
+        widened = NlRoiParams(**{n: t.astype(np.float64) for n, t in single.tensors()})
+        want, _ = nlroi_forward(x, widened, cfg)
+        assert nlroi_forward(x, single, cfg)[0].tobytes() == want.tobytes()

@@ -6,7 +6,9 @@ name for tracing, ``toytask.init_model``, ``Prng.next_u64`` and
 ``uniforms``) and checks what it measures: training reproducibility,
 gradcheck, permutation equivariance, the oracle and a weights round trip.
 Each run here is a short one in a copy of the checkout, so the report it
-writes stays out of the source tree.
+writes stays out of the source tree. The traced runs call every op through
+the tracer's wrappers; the large_n one is the only run of them over the
+masked, multi-block softmax and its VJP.
 """
 
 import json
@@ -31,7 +33,7 @@ def checkout(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "workload, trace", [("toy_train", 0), ("large_n", 0), ("toy_train", 1)]
+    "workload, trace", [("toy_train", 0), ("large_n", 0), ("toy_train", 1), ("large_n", 1)]
 )
 def test_run_is_correct(checkout, workload, trace):
     done = subprocess.run(
