@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import DEFAULT_SWEEP, MIN_REPS, emit_csv, run_bench
+from .bench import DEFAULT_SWEEP, MIN_REPS, emit_csv, fit_scaling_exponent, run_bench
 from .config import ConfigFile, parse_config
 from .errors import (
     ConfigError,
@@ -114,6 +114,11 @@ def _cmd_bench(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             emit_csv(records, fh)
         print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)
+    # the slope of log forward time against log N, which the scaling acceptance test bounds
+    try:
+        print(f"slope={fit_scaling_exponent(records):.3f}", file=sys.stderr)
+    except InsufficientDataError as exc:
+        print(f"slope=n/a: {exc}", file=sys.stderr)
     return 0
 
 

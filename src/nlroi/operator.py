@@ -19,9 +19,10 @@ image's RoI count. The channel stages (phi/psi embeddings, the g-branch,
 tile and concat) run once over all RoIs; the N x N stages (score, softmax,
 mix) run once per run of consecutive images with equal counts, on stacked
 (images, n, .) arrays. Every image's output is bitwise equal to what a
-call with that image alone returns. The softmax and its VJP overwrite
-their input stack in blocks of ``_ROW_BLOCK`` rows, so each group keeps
-one N x N stack, the raw scores that become the weights.
+call with that image alone returns. The softmax overwrites its input
+stack in blocks of ``_ROW_BLOCK`` rows, so each group keeps one N x N
+stack, the raw scores that become the weights; the backward walks the
+same blocks and makes no whole N x N gradient.
 
 The N x N stages and their VJPs run in a canonical RoI order: each image's
 RoIs sorted by content (``_canonical_order``, one lexsort per run of
@@ -125,24 +126,27 @@ class NlRoiParams:
 
     def tensors(self) -> list:
         """Named tensors in field (PRNG-consumption) order."""
-        return [(f.name, getattr(self, f.name)) for f in fields(self)]
+        return [(name, getattr(self, name)) for name in _PARAM_NAMES]
 
     @classmethod
     def from_named(cls, named: dict) -> "NlRoiParams":
         """The operator's tensors from a name -> array mapping, as C-contiguous
         float64 arrays (an array that already is one is taken as it is);
         other names (a head's tensors, an old file's b_psi) are ignored."""
-        names = [f.name for f in fields(cls)]
-        missing = [n for n in names if n not in named]
+        missing = [n for n in _PARAM_NAMES if n not in named]
         if missing:
             raise DimensionError(f"missing parameter tensors: {missing}")
-        return cls(**{n: np.ascontiguousarray(named[n], dtype=np.float64) for n in names})
+        return cls(**{n: np.ascontiguousarray(named[n], dtype=np.float64) for n in _PARAM_NAMES})
 
     def validate(self, config: NlRoiConfig) -> None:
         for name, want in self.shapes(config).items():
             got = getattr(self, name).shape
             if got != want:
                 raise DimensionError(f"{name} has shape {got}, config implies {want}")
+
+
+# the field names, read once: dataclasses.fields costs more than the 7 conversions
+_PARAM_NAMES = tuple(f.name for f in fields(NlRoiParams))
 
 
 @dataclass
@@ -222,6 +226,13 @@ def _check_blob(x: np.ndarray, config: NlRoiConfig) -> np.ndarray:
         )
     _require_finite(x, "RoI blob")
     return x
+
+
+def _check_params(params: NlRoiParams, config: NlRoiConfig) -> NlRoiParams:
+    """C-contiguous float64 tensors in the shapes ``config`` implies."""
+    params = NlRoiParams.from_named(dict(params.tensors()))
+    params.validate(config)
+    return params
 
 
 def _require_finite(a: np.ndarray, name: str) -> None:
@@ -379,8 +390,7 @@ def nlroi_forward(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig, count
     C-contiguous float64 arrays, which the ops take without checks.
     """
     x = _check_blob(x, config)
-    params = NlRoiParams.from_named(dict(params.tensors()))
-    params.validate(config)
+    params = _check_params(params, config)
     counts = _image_counts(counts, x.shape[0])
     if not config.attend_to_self and 1 in counts:
         raise DegenerateAttentionError(
@@ -532,6 +542,33 @@ def nlroi_reference(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig) -> 
     return out
 
 
+def _group_vjp(cache, group, attn, d_y, scale, rows, d_phi, d_psi):
+    """The mix, softmax and score VJPs of one group, in canonical order.
+    Returns G's gradient P^T dY and writes d_phi's and d_psi's rows ``rows``
+    ((images, rois) indices into (N, D_f*H*W) arrays). The weights' gradient
+    dP = dY G^T is taken one block of ``_ROW_BLOCK`` rows of every image at
+    a time, with the scale folded into G, and becomes the raw scores'
+    gradient dS in place; the block gives its rows of dS Psi and its term
+    of dS^T Phi. No N x N array outlives a block."""
+    phi, psi, g = (_stacked(a, *group) for a in (cache.phi, cache.psi, cache.g))
+    g_t = (g / scale).transpose(0, 2, 1)
+    d_psi_sum = None
+    for first in range(0, attn.shape[1], _ROW_BLOCK):
+        block = slice(first, first + _ROW_BLOCK)
+        d_s = ops.softmax_vjp_from_probs(attn[:, block], d_y[:, block] @ g_t)
+        d_phi[rows[:, block].reshape(-1)] = (d_s @ psi).reshape(-1, psi.shape[2])
+        term = d_s.transpose(0, 2, 1) @ phi[:, block]
+        if d_psi_sum is None:
+            # the first term starts the sum: a zeroed start added about 8% to
+            # paper_scale's backward (3.2 MB more of fresh pages, one more pass)
+            d_psi_sum = term
+        else:
+            d_psi_sum += term
+    if d_psi_sum is not None:  # a group of empty images has no blocks
+        d_psi[rows.reshape(-1)] = d_psi_sum.reshape(-1, psi.shape[2])
+    return attn.transpose(0, 2, 1) @ d_y
+
+
 def nlroi_backward(
     cache: ForwardCache,
     params: NlRoiParams,
@@ -540,19 +577,21 @@ def nlroi_backward(
 ):
     """Exact reverse-mode gradients. Returns (dX, NlRoiParams of gradients).
 
-    dX is the concat pass-through plus one stacked 1x1 VJP: phi, psi and
-    g1 read the same x, so their upstreams share one buffer and one call
-    gives their dX as one product per RoI. The mix, softmax and score
-    VJPs run per group of the cache with batched products, in the forward's
-    canonical order, and so does the pooled 3x3 conv's VJP; their results
-    go back to call order once per tensor. The softmax VJP overwrites the
-    mix VJP's N x N output in blocks of ``_ROW_BLOCK`` rows. A non-finite
-    ``d_out`` raises NumericalError. When the forward found twins,
-    ``_canonical_order`` sorts again by x and then by ``d_out``, which puts
-    each run of twins in an order of its own, and twins whose upstream rows
-    are equal too get the dX of the first of them. Parameter gradients are
-    summed over every image of the call.
+    The parameters are converted and checked as ``nlroi_forward`` does, so
+    their layout and dtype do not change a bit. dX is the concat
+    pass-through plus one stacked 1x1 VJP: phi, psi and g1 read the same x,
+    so their upstreams share one buffer and one call gives their dX as one
+    product per RoI. The mix, softmax and score VJPs run per group of the
+    cache in the forward's canonical order, on blocks of each image's rows
+    (``_group_vjp``), and so does the pooled 3x3 conv's VJP; their results
+    go back to call order once per tensor. A non-finite ``d_out`` raises
+    NumericalError. When the forward found twins, ``_canonical_order``
+    sorts again by x and then by ``d_out``, which puts each run of twins in
+    an order of its own, and twins whose upstream rows are equal too get
+    the dX of the first of them. Parameter gradients are summed over every
+    image of the call.
     """
+    params = _check_params(params, config)
     x = cache.x
     n = x.shape[0]
     d, d_f, d_g = config.d, config.d_f, config.d_g
@@ -570,7 +609,8 @@ def nlroi_backward(
 
     # phi, psi and g1 are 1x1 convs of x: one buffer and one VJP serve all three
     d_emb = np.empty((n, 2 * d_f + config.d_mid, h, w))
-    d_phi, d_psi = d_emb[:, :d_f], d_emb[:, d_f : 2 * d_f]
+    # (N, D_f*H*W) views: each row's D_f channels are contiguous
+    d_phi, d_psi = (d_emb[:, c : c + d_f].reshape(n, d_f * h * w) for c in (0, d_f))
 
     order, twins = cache.order, cache.twins
     if any(t is not None for t in twins):
@@ -579,23 +619,12 @@ def nlroi_backward(
         order, twins = _canonical_order(cache.groups, x, d_out)
     d_y_canon = d_y[order]
     d_g_canon = np.empty((n, d_g))
-    for (row, images, rois), attn in zip(cache.groups, cache.attn):
-        rows = order[row : row + images * rois]
-        # Y = P G
-        d_raw, d_g_stack = ops.matmul_vjp(
-            attn, _stacked(cache.g, row, images, rois), _stacked(d_y_canon, row, images, rois)
-        )
-        d_g_canon[row : row + images * rois] = d_g_stack.reshape(-1, d_g)
-        # the raw scores' gradient overwrites the weights', one block of rows at a time
-        for first in range(0, rois, _ROW_BLOCK):
-            block = slice(first, first + _ROW_BLOCK)
-            ops.softmax_vjp_from_probs(attn[:, block], d_raw[:, block])
-            d_raw[:, block] /= config.scale()
-        # raw = Phi Psi^T
-        d_phi[rows] = (d_raw @ _stacked(cache.psi, row, images, rois)).reshape(-1, d_f, h, w)
-        d_psi[rows] = (d_raw.transpose(0, 2, 1) @ _stacked(cache.phi, row, images, rois)).reshape(
-            -1, d_f, h, w
-        )
+    for group, attn in zip(cache.groups, cache.attn):
+        row, images, rois = group
+        rows = order[row : row + images * rois].reshape(images, rois)
+        d_g_canon[row : row + images * rois] = _group_vjp(
+            cache, group, attn, _stacked(d_y_canon, *group), config.scale(), rows, d_phi, d_psi
+        ).reshape(-1, d_g)
 
     # G = pool(conv3x3(relu(conv1x1(x)))); the pooled conv's input gradient
     # is one product over all rows, so it too runs in canonical order

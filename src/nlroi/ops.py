@@ -36,11 +36,12 @@ axis:
   N x N temporary for them.
 
 All operations are deterministic run to run on one machine with one
-NumPy/BLAS build. The VJPs contract with BLAS (``@``) and sum with NumPy
-reductions. Sums over RoIs (the weight and bias gradients) take the RoIs
-in the order given, so reordering the RoIs can change their last bits: a
-BLAS reduction's order depends on the operands' sizes and on where an
-element falls in the blocking.
+NumPy/BLAS build. The VJPs contract with BLAS (``@``; the softmax VJP's
+row dot too, one BLAS dot per row) and sum with NumPy reductions. Sums
+over RoIs (the weight and bias gradients) take the RoIs in the order
+given, so reordering the RoIs can change their last bits: a BLAS
+reduction's order depends on the operands' sizes and on where an element
+falls in the blocking.
 
 A VJP result may be a view of its upstream gradient (``concat_channels_vjp``
 returns the two channel slices of ``d_out``), so a caller that writes into
@@ -73,11 +74,6 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for p in range(a.shape[-1]):
         out += a_cols[p] * b_rows[p]
     return out
-
-
-def matmul_vjp(a: np.ndarray, b: np.ndarray, d_out: np.ndarray):
-    """Gradients of ``matmul`` (matrices or stacks) through BLAS products."""
-    return d_out @ b.swapaxes(-1, -2), a.swapaxes(-1, -2) @ d_out
 
 
 def conv2d_1x1(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -184,8 +180,8 @@ def softmax_vjp_from_probs(p: np.ndarray, d_p: np.ndarray) -> np.ndarray:
     axes, and ``p`` and ``d_p`` may be the same block of rows of larger
     matrices (views).
     """
-    row_dot = np.sum(d_p * p, axis=-1, keepdims=True)
-    d_p -= row_dot
+    # one dot per row, (..., 1, n) @ (..., n, 1): no temporary of d_p's size
+    d_p -= (d_p[..., None, :] @ p[..., :, None])[..., 0]
     d_p *= p
     return d_p
 

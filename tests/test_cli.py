@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, stream separation, round trips."""
 
+import math
 import subprocess
 import sys
 
@@ -120,6 +121,22 @@ class TestBenchCommand:
         assert rc == 0
         assert captured.out == ""
         assert out.read_text().splitlines()[0].startswith("n,d,")
+
+    def test_slope_on_stderr(self, capsys, monkeypatch):
+        """The fitted slope goes to stderr; stdout is the CSV alone. A sweep
+        too thin to fit says so and still succeeds."""
+        import nlroi.cli as cli
+
+        monkeypatch.setattr(cli, "DEFAULT_SWEEP", tuple((n, TINY_OP) for n in (2, 4, 6, 8)))
+        rc = main(["bench"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert len(captured.out.splitlines()) == 5
+        (line,) = [s for s in captured.err.splitlines() if s.startswith("slope=")]
+        assert math.isfinite(float(line.removeprefix("slope=")))
+        monkeypatch.setattr(cli, "DEFAULT_SWEEP", ((4, TINY_OP),))
+        assert main(["bench"]) == 0
+        assert "slope=n/a: need >= 4 distinct N values" in capsys.readouterr().err
 
     def test_reps_floor(self, capsys):
         rc = main(["bench", "--reps", "2"])

@@ -849,7 +849,7 @@ class TestMemory:
     def test_large_n_peaks(self):
         """At large_n's config and N = 1024 (tracemalloc): the forward's peak
         is at most three N x N stacks and the backward's, with the cache
-        live, at most four."""
+        live, at most three too: no whole N x N gradient exists."""
         cfg = NlRoiConfig(d=8, d_f=4, d_mid=4, d_g=4, h=4, w=4,
                           attend_to_self=False, scaling=Scaling.FULL_FLATTEN)
         n = 1024
@@ -870,7 +870,7 @@ class TestMemory:
             if started:
                 tracemalloc.stop()
         assert fwd <= 3 * stack, f"forward peak {fwd / stack:.2f} stacks"
-        assert bwd <= 4 * stack, f"backward peak {bwd / stack:.2f} stacks"
+        assert bwd <= 3 * stack, f"backward peak {bwd / stack:.2f} stacks"
 
 
 class TestParamsContainer:
@@ -908,8 +908,9 @@ class TestParamsContainer:
 
 
 class TestParamsAtEntry:
-    """``nlroi_forward`` checks the parameters against the config and hands
-    the ops C-contiguous float64 tensors; the ops check nothing."""
+    """``nlroi_forward`` and ``nlroi_backward`` check the parameters against
+    the config and hand the ops C-contiguous float64 tensors; the ops check
+    nothing."""
 
     @pytest.mark.parametrize("name", list(NlRoiParams.shapes(small_config())))
     def test_wrong_shape_names_the_tensor(self, name):
@@ -939,3 +940,29 @@ class TestParamsAtEntry:
         widened = NlRoiParams(**{n: t.astype(np.float64) for n, t in single.tensors()})
         want, _ = nlroi_forward(x, widened, cfg)
         assert nlroi_forward(x, single, cfg)[0].tobytes() == want.tobytes()
+
+    def test_backward_converts_like_the_forward(self):
+        """Fortran-ordered and float32 params give the backward bitwise the
+        dX and gradients of C-ordered float64 params (at these widths BLAS
+        would round a Fortran-ordered stacked weight differently)."""
+        cfg = small_config(d=16, d_f=8, d_mid=8, d_g=8)
+        x, params = random_case(58, 9, cfg)
+        single = NlRoiParams(**{n: t.astype(np.float32) for n, t in params.tensors()})
+        widened = NlRoiParams(**{n: t.astype(np.float64) for n, t in single.tensors()})
+        fortran = NlRoiParams(**{n: np.asfortranarray(t) for n, t in params.tensors()})
+        for given, plain in ((fortran, params), (single, widened)):
+            out, cache = nlroi_forward(x, plain, cfg)
+            up = Prng(59).normals(out.size).reshape(out.shape)
+            want_dx, want = nlroi_backward(cache, plain, cfg, up)
+            dx, grads = nlroi_backward(cache, given, cfg, up)
+            assert dx.tobytes() == want_dx.tobytes()
+            for (name, g), (_, w) in zip(grads.tensors(), want.tensors()):
+                assert g.tobytes() == w.tobytes(), name
+
+    def test_backward_names_a_mismatched_tensor(self):
+        cfg = small_config()
+        x, params = random_case(60, 4, cfg)
+        out, cache = nlroi_forward(x, params, cfg)
+        params.w_g1 = np.zeros((6, 8))
+        with pytest.raises(DimensionError, match=r"^w_g1 has shape \(6, 8\), config implies \(4, 8\)"):
+            nlroi_backward(cache, params, cfg, np.ones_like(out))

@@ -275,24 +275,6 @@ class TestVjps:
     """Every backward contract against the finite-difference oracle, plus
     the hand-checkable identity cases."""
 
-    def test_matmul_identity_upstream(self):
-        prng = Prng(20)
-        a = prng.normals(4).reshape(2, 2)
-        b = prng.normals(4).reshape(2, 2)
-        da, db = ops.matmul_vjp(a, b, np.eye(2))
-        assert np.array_equal(da, ops.matmul(np.eye(2), b.T))
-        assert np.allclose(da, b.T, rtol=0, atol=1e-15)
-        assert np.allclose(db, a.T, rtol=0, atol=1e-15)
-
-    def test_matmul_vjp_fd(self):
-        prng = Prng(21)
-        a = prng.normals(12).reshape(3, 4)
-        b = prng.normals(20).reshape(4, 5)
-        up = prng.normals(15).reshape(3, 5)
-        da, db = ops.matmul_vjp(a, b, up)
-        assert max_rel(da, fd_grad(lambda v: np.sum(ops.matmul(v, b) * up), a)) < 1e-6
-        assert max_rel(db, fd_grad(lambda v: np.sum(ops.matmul(a, v) * up), b)) < 1e-6
-
     def test_conv1x1_vjp_fd(self):
         prng = Prng(22)
         x = prng.normals(3 * 4 * 5 * 5).reshape(3, 4, 5, 5)

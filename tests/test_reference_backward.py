@@ -20,6 +20,7 @@ import pytest
 
 from nlroi.cli import _random_oracle_case
 from nlroi.operator import (
+    _ROW_BLOCK,
     NlRoiConfig,
     NlRoiParams,
     Scaling,
@@ -196,6 +197,45 @@ def test_multi_image(attend, scaling):
     x[-2] = x[-1]
     x[-3] = x[-1]
     check(x, params, config, counts, seed=23)
+
+
+@pytest.mark.parametrize("attend", [True, False])
+@pytest.mark.parametrize("scaling", list(Scaling))
+def test_images_across_row_blocks(attend, scaling):
+    # the backward walks each image's rows in blocks of _ROW_BLOCK: the
+    # first image spans three blocks, the last of them ragged, and the
+    # second two
+    config = NlRoiConfig(
+        d=6, d_f=2, d_mid=3, d_g=3, h=2, w=2, attend_to_self=attend, scaling=scaling
+    )
+    params = init_params(config, Prng(24))
+    counts = (2 * _ROW_BLOCK + 22, _ROW_BLOCK + 6)
+    x = Prng(25).normals(sum(counts) * 6 * 2 * 2).reshape(-1, 6, 2, 2)
+    check(x, params, config, counts, seed=26)
+
+
+@pytest.mark.parametrize("attend", [True, False])
+def test_twins_straddling_a_row_block_edge(attend):
+    """Twins at canonical rows _ROW_BLOCK - 1 and _ROW_BLOCK fall in two
+    blocks of the backward; with equal upstream rows their dX rows are
+    equal."""
+    config = NlRoiConfig(d=6, d_f=2, d_mid=3, d_g=3, h=2, w=2, attend_to_self=attend)
+    params = init_params(config, Prng(27))
+    n = _ROW_BLOCK + 20
+    x = Prng(28).normals(n * 6 * 2 * 2).reshape(n, 6, 2, 2)
+    # the last RoI in canonical order takes the bytes of the one at rank
+    # _ROW_BLOCK - 1, so the pair sits at ranks _ROW_BLOCK - 1 and _ROW_BLOCK
+    order = nlroi_forward(x, params, config)[1].order
+    first, second = order[_ROW_BLOCK - 1], order[-1]
+    x[second] = x[first]
+    check(x, params, config, seed=29)
+    out, cache = nlroi_forward(x, params, config)
+    (k, a), = [t for t in cache.twins if t is not None]
+    assert (k.tolist(), a.tolist()) == ([_ROW_BLOCK], [_ROW_BLOCK - 1])
+    d_out = Prng(30).normals(out.size).reshape(out.shape)
+    d_out[second] = d_out[first]
+    d_x, _ = nlroi_backward(cache, params, config, d_out)
+    assert d_x[second].tobytes() == d_x[first].tobytes()
 
 
 def test_failure_names_stage_and_index():
