@@ -130,72 +130,43 @@ class NlRoiParams:
 
     @classmethod
     def from_named(cls, named: dict) -> "NlRoiParams":
-        """The operator's tensors from a name -> array mapping, as C-contiguous
-        float64 arrays (an array that already is one is taken as it is);
-        other names (a head's tensors, an old file's b_psi) are ignored."""
+        """The operator's tensors from a name -> array mapping; other names (a
+        head's tensors, an old file's b_psi) are ignored."""
         missing = [n for n in _PARAM_NAMES if n not in named]
         if missing:
             raise DimensionError(f"missing parameter tensors: {missing}")
-        return cls(**{n: np.ascontiguousarray(named[n], dtype=np.float64) for n in _PARAM_NAMES})
-
-    def validate(self, config: NlRoiConfig) -> None:
-        for name, want in self.shapes(config).items():
-            got = getattr(self, name).shape
-            if got != want:
-                raise DimensionError(f"{name} has shape {got}, config implies {want}")
+        return cls(**{n: named[n] for n in _PARAM_NAMES})
 
 
-# the field names, read once: dataclasses.fields costs more than the 7 conversions
+# the field names, read once: dataclasses.fields is slow to call per pass
 _PARAM_NAMES = tuple(f.name for f in fields(NlRoiParams))
 
 
 @dataclass
 class ForwardCache:
-    """Forward activations. Per-RoI tensors cover all N RoIs of the call.
+    """What ``nlroi_backward`` reads of the forward. Per-RoI tensors cover
+    all N RoIs of the call.
 
     The N x N stages ran in canonical order (``_canonical_order``): canonical
-    row k is original row ``order[k]``. ``phi``, ``psi`` and ``g`` hold
-    their rows in that order. ``attn`` holds the weights, one canonical
-    (images, n, n) stack per entry of ``groups``, and is the only N x N
-    array the cache keeps. ``scores_raw`` and ``scores`` recompute the
-    scores from ``phi`` and ``psi`` with the forward's own product, so they
-    are bitwise what the softmax saw. These two and ``attention`` give
-    their stacks in the call's own row order.
+    row k is call row ``order[k]``. ``phi``, ``psi`` and ``g`` hold their
+    rows in that order, and ``attn`` holds the weights, one canonical
+    (images, n, n) stack per entry of ``groups``. For the group that starts
+    at ``row``, entry (k, j) of image i's stack is the weight that call row
+    ``order[row + i*n + k]`` gives to call row ``order[row + i*n + j]``; the
+    diagonal holds each RoI's self-weight. ``attn`` is the only N x N array
+    the cache keeps.
     """
 
     x: np.ndarray            # (N, D, H, W) input blob
     groups: tuple            # (first row, images, RoIs per image) per run of equal counts
-    order: np.ndarray        # (N,) original row of each canonical row
+    order: np.ndarray        # (N,) call row of each canonical row
     twins: tuple             # per group: identical RoIs, see _canonical_order
     phi: np.ndarray          # (N, D_f*H*W) flattened phi embeddings
     psi: np.ndarray          # (N, D_f*H*W) flattened psi embeddings
     g: np.ndarray            # (N, D_g) per-RoI embedding matrix G
-    scale: float             # divisor of the raw scores
     attn: list               # per group: row-stochastic weights
     g_pre: np.ndarray        # (N, D_mid, H, W) before the ReLU, call order
     g_post: np.ndarray       # (N, D_mid, H, W) after the ReLU, call order
-
-    def _in_call_order(self, stacks: list) -> list:
-        out = []
-        for (row, images, rois), a in zip(self.groups, stacks):
-            rank = np.argsort(self.order[row : row + images * rois].reshape(images, rois), axis=-1)
-            out.append(a[np.arange(images)[:, None, None], rank[:, :, None], rank[:, None, :]])
-        return out
-
-    @property
-    def scores_raw(self) -> list:
-        """Per group: dot products before scaling."""
-        return self._in_call_order([_scores(self.phi, self.psi, *group) for group in self.groups])
-
-    @property
-    def scores(self) -> list:
-        """Per group: the scaled scores fed to the softmax, bit for bit."""
-        return [raw / self.scale for raw in self.scores_raw]
-
-    @property
-    def attention(self) -> list:
-        """Per group: row-stochastic weights."""
-        return self._in_call_order(self.attn)
 
 
 def init_params(config: NlRoiConfig, prng: Prng) -> NlRoiParams:
@@ -229,10 +200,15 @@ def _check_blob(x: np.ndarray, config: NlRoiConfig) -> np.ndarray:
 
 
 def _check_params(params: NlRoiParams, config: NlRoiConfig) -> NlRoiParams:
-    """C-contiguous float64 tensors in the shapes ``config`` implies."""
-    params = NlRoiParams.from_named(dict(params.tensors()))
-    params.validate(config)
-    return params
+    """C-contiguous float64 tensors in the shapes ``config`` implies (an
+    array that already is one is taken as it is)."""
+    tensors = []
+    for name, want in NlRoiParams.shapes(config).items():
+        t = np.ascontiguousarray(getattr(params, name), dtype=np.float64)
+        if t.shape != want:
+            raise DimensionError(f"{name} has shape {t.shape}, config implies {want}")
+        tensors.append(t)
+    return NlRoiParams(*tensors)
 
 
 def _require_finite(a: np.ndarray, name: str) -> None:
@@ -440,7 +416,6 @@ def nlroi_forward(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig, count
         phi=phi,
         psi=psi,
         g=g,
-        scale=config.scale(),
         attn=attns,
         g_pre=g_pre,
         g_post=g_post,

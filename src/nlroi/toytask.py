@@ -9,11 +9,12 @@ hits an accuracy ceiling: minority RoIs cannot know which of the other
 classes won. A model that mixes information across RoIs has no such cap,
 which is exactly what the attention operator provides.
 
-``baseline_ceiling`` Monte-Carlo-estimates the per-RoI optimum for an
-oracle that even knows its own majority membership (a generous bound; a
-realizable per-RoI classifier does worse). ``train`` fits either variant
-with SGD + momentum and weight decay; ``evaluate`` measures per-RoI
-accuracy on freshly drawn scenes.
+With m = ``majority_count(N)``, an oracle that knows its own latent class
+and its own majority membership is right with probability
+m/N + (1 - m/N)/(K - 1), 0.75 at N=8, K=4 (a generous bound; a realizable
+per-RoI classifier does worse). ``train`` fits either variant with SGD +
+momentum and weight decay; ``evaluate`` measures per-RoI accuracy on
+freshly drawn scenes.
 
 A training step (and each chunk of evaluation scenes) draws its scenes
 from one block of PRNG outputs, which gives exactly the scenes that one
@@ -124,37 +125,6 @@ def generate_scene(prng: Prng, spec: SceneSpec) -> Scene:
         majority_class=int(labels[0]),
         labels=labels,
     )
-
-
-def baseline_ceiling(n: int, k: int, trials: int, prng: Prng) -> float:
-    """Monte-Carlo ceiling for a per-RoI predictor that knows its own latent
-    class and its own majority membership.
-
-    Majority members predict their own class and are always right; minority
-    members know only that the answer is one of the other k-1 classes and
-    guess uniformly among them. The closed form is m/n + (1 - m/n)/(k - 1)
-    with m = ceil(0.6*n); the simulation below reproduces it without using
-    that formula.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    m = majority_count(n)
-    correct = 0
-    for _ in range(trials):
-        majority = prng.randint(k)
-        slots = set(prng.sample_indices(n, m))
-        for i in range(n):
-            if i in slots:
-                correct += 1
-            else:
-                r = prng.randint(k - 1)
-                own = r if r < majority else r + 1
-                # guess uniformly among the k-1 classes that are not our own
-                guess = prng.randint(k - 1)
-                guess = guess if guess < own else guess + 1
-                if guess == majority:
-                    correct += 1
-    return correct / (trials * n)
 
 
 @dataclass

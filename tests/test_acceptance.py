@@ -44,8 +44,10 @@ from nlroi.operator import (
     nlroi_forward,
 )
 from nlroi.rng import Prng
-from nlroi.toytask import Hyper, baseline_ceiling, evaluate, train
+from nlroi.toytask import Hyper, evaluate, train
 from nlroi.weights import MAGIC, load_weights, save_weights
+
+from helpers import baseline_ceiling, raw_scores
 
 
 @pytest.fixture
@@ -163,15 +165,17 @@ def test_scaling_mode_ratio(announce):
         x = prng.normals(n * 8 * 2 * 2).reshape(n, 8, 2, 2)
         _, c_pc = nlroi_forward(x, params, cfg_pc)
         _, c_ff = nlroi_forward(x, params, cfg_ff)
-        if not np.array_equal(c_pc.scores_raw[0][0], c_ff.scores_raw[0][0]):
+        # both caches hold the canonical order of the same x
+        raw_pc, raw_ff = raw_scores(c_pc), raw_scores(c_ff)
+        if not np.array_equal(raw_pc, raw_ff):
             raw_mismatch += 1
         if not (
-            np.array_equal(c_pc.scores[0][0] * cfg_pc.scale(), c_pc.scores_raw[0][0])
-            and np.array_equal(c_ff.scores[0][0] * cfg_ff.scale(), c_ff.scores_raw[0][0])
+            np.array_equal(raw_pc / cfg_pc.scale() * cfg_pc.scale(), raw_pc)
+            and np.array_equal(raw_ff / cfg_ff.scale() * cfg_ff.scale(), raw_ff)
         ):
             ratio_exact = False
         if not np.array_equal(
-            np.argmax(c_pc.attention[0][0], axis=1), np.argmax(c_ff.attention[0][0], axis=1)
+            np.argmax(c_pc.attn[0][0], axis=1), np.argmax(c_ff.attn[0][0], axis=1)
         ):
             argmax_mismatch += 1
     ok = raw_mismatch == 0 and argmax_mismatch == 0 and ratio_exact

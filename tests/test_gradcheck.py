@@ -129,7 +129,7 @@ class TestOneHotRows:
         for seed in range(5):
             x, params = random_blob_and_params(40 + seed, 2, self.CFG, 1.0)
             out, cache = nlroi_forward(x, params, self.CFG)
-            assert np.array_equal(cache.attention[0][0], [[0.0, 1.0], [1.0, 0.0]])
+            assert np.array_equal(cache.attn[0][0], [[0.0, 1.0], [1.0, 0.0]])
             up = Prng(50 + seed).normals(out.size).reshape(out.shape)
             _, grads = nlroi_backward(cache, params, self.CFG, up)
             for name in ("w_phi", "b_phi", "w_psi"):
@@ -144,7 +144,7 @@ class TestOneHotRows:
         # gradients keep their size, and every one must still match FD
         x, params = random_blob_and_params(31, 4, self.CFG, 12.0)
         out, cache = nlroi_forward(x, params, self.CFG)
-        rows = cache.attention[0][0]
+        rows = cache.attn[0][0]
         assert np.min(np.max(rows, axis=1)) > 1.0 - 1e-9
         proj = 1e-6 * Prng(32).normals(out.size).reshape(out.shape)
         d_x, grads = nlroi_backward(cache, params, self.CFG, proj)

