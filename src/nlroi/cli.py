@@ -67,24 +67,24 @@ def _seed(args, cfg: ConfigFile) -> int:
 def _model_from_weights(named: dict, cfg: ConfigFile) -> ToyModel:
     for name, value in named.items():
         _require_finite(value, f"weights tensor {name!r}")
-    spec = cfg.scene_spec()
+    spec = cfg.spec
     if "w_phi" in named:
-        nl_config = cfg.nlroi_config()
+        nl_config = cfg.nlroi
         nl_params = NlRoiParams.from_named(named)
-        head_in = cfg.d + cfg.d_g
+        head_in = spec.d + nl_config.d_g
     else:
         nl_config = None
         nl_params = None
-        head_in = cfg.d
+        head_in = spec.d
     try:
         w_head = named["w_head"]
         b_head = named["b_head"]
     except KeyError as exc:
         raise WeightsFormatError(f"weights file lacks tensor {exc.args[0]!r}") from None
-    if w_head.shape != (cfg.k_classes, head_in) or b_head.shape != (cfg.k_classes,):
+    if w_head.shape != (spec.k, head_in) or b_head.shape != (spec.k,):
         raise DimensionError(
             f"head tensors {w_head.shape}/{b_head.shape} do not fit the "
-            f"configuration (k={cfg.k_classes}, pooled width {head_in})"
+            f"configuration (k={spec.k}, pooled width {head_in})"
         )
     return ToyModel(
         spec=spec,
@@ -97,7 +97,7 @@ def _model_from_weights(named: dict, cfg: ConfigFile) -> ToyModel:
 
 def _cmd_gradcheck(args) -> int:
     cfg = _load_config(args)
-    report = check_all_gradients(cfg.nlroi_config(), seed=_seed(args, cfg), n=cfg.n)
+    report = check_all_gradients(cfg.nlroi, seed=_seed(args, cfg), n=cfg.spec.n)
     print(format_report(report), file=sys.stderr)
     print(summary_line(report))
     return 0 if report.passed else 1
@@ -124,17 +124,16 @@ def _cmd_bench(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
-    spec = cfg.scene_spec()
-    nl_config = cfg.nlroi_config() if args.variant == "nlroi" else None
+    nl_config = cfg.nlroi if args.variant == "nlroi" else None
 
     def log(step, loss):
         print(f"step={step} loss={loss:.6f}", file=sys.stderr)
 
     model, _ = train(
         args.variant,
-        spec,
+        cfg.spec,
         nl_config,
-        cfg.hyper(),
+        cfg.hyper,
         seed=_seed(args, cfg),
         log_fn=log,
     )
@@ -201,9 +200,8 @@ def _cmd_oracle_diff(args) -> int:
 def _cmd_init(args) -> int:
     cfg = _load_config(args)
     prng = Prng(_seed(args, cfg))
-    spec = cfg.scene_spec()
-    nl_config = cfg.nlroi_config() if args.variant == "nlroi" else None
-    model = init_model(spec, nl_config, prng)
+    nl_config = cfg.nlroi if args.variant == "nlroi" else None
+    model = init_model(cfg.spec, nl_config, prng)
     out = args.out if args.out is not None else "weights.bin"
     save_weights(out, model.tensors())
     print(f"saved fresh {args.variant} weights to {out}", file=sys.stderr)

@@ -5,10 +5,19 @@ a line), blank lines are skipped, whitespace around the `=` is ignored.
 Unknown and repeated keys are hard errors so typos never pass silently;
 every error message carries the offending line number.
 
-Defaults when a key is absent: the bottleneck widths derive from the input
-width (d_f = d_g = d/4, floored at 1, and d_mid = d_f), self-attention is
-on, and scores scale by the square root of the channel count. Optimizer
-defaults are momentum 0.9, weight decay 0.0001, learning rate 0.01.
+``parse_config`` builds the library's own objects, a ``SceneSpec``, an
+``NlRoiConfig`` and a ``Hyper``, so a file is valid or invalid whatever
+command reads it. The parser checks only the file's own rules: syntax,
+keys, and the seed's 64-bit range. Every other rule belongs to the
+constructor that owns it; its ConfigError names the field it rejects,
+and the parser puts that key's line in front (``k_classes`` is the file's
+spelling of ``SceneSpec.k``). A rule between a default and a given value
+names the given value's line.
+
+Defaults when a key is absent: n = 8, d = 16, h = w = 3, k_classes = 4,
+seed 0, and bottleneck widths that derive from the input width (d_f = d_g
+= d/4, floored at 1, and d_mid = d_f). Every other key takes its
+dataclass's default.
 """
 
 from __future__ import annotations
@@ -27,50 +36,16 @@ _FLOAT_KEYS = {"learning_rate", "momentum", "weight_decay"}
 _BOOL_KEYS = {"attend_to_self"}
 _ENUM_KEYS = {"scaling"}
 KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _ENUM_KEYS
+# the file's key for a field that it spells another way
+_KEY_OF_FIELD = {"k": "k_classes"}
 
 
 @dataclass(frozen=True)
 class ConfigFile:
-    n: int
-    d: int
-    d_f: int
-    d_mid: int
-    d_g: int
-    h: int
-    w: int
-    k_classes: int
-    attend_to_self: bool
-    scaling: Scaling
     seed: int
-    learning_rate: float
-    momentum: float
-    weight_decay: float
-    steps: int
-    scenes_per_step: int
-
-    def nlroi_config(self) -> NlRoiConfig:
-        return NlRoiConfig(
-            d=self.d,
-            d_f=self.d_f,
-            d_mid=self.d_mid,
-            d_g=self.d_g,
-            h=self.h,
-            w=self.w,
-            attend_to_self=self.attend_to_self,
-            scaling=self.scaling,
-        )
-
-    def scene_spec(self) -> SceneSpec:
-        return SceneSpec(n=self.n, k=self.k_classes, d=self.d, h=self.h, w=self.w)
-
-    def hyper(self) -> Hyper:
-        return Hyper(
-            learning_rate=self.learning_rate,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-            steps=self.steps,
-            scenes_per_step=self.scenes_per_step,
-        )
+    spec: SceneSpec
+    nlroi: NlRoiConfig
+    hyper: Hyper
 
 
 def _parse_int(key, raw, ln):
@@ -78,22 +53,30 @@ def _parse_int(key, raw, ln):
         v = int(raw, 10)
     except ValueError:
         raise ConfigError(f"line {ln}: {key} expects an integer, got {raw!r}") from None
-    lo = 0 if key in ("seed", "steps") else 1
-    if v < lo:
-        raise ConfigError(f"line {ln}: {key} must be >= {lo}, got {v}")
-    if key == "seed" and v >= 1 << 64:
-        raise ConfigError(f"line {ln}: seed must fit in 64 bits, got {v}")
+    if key == "seed" and not 0 <= v < 1 << 64:
+        raise ConfigError(f"line {ln}: seed must fit in 64 bits (0 <= seed < 2**64), got {v}")
     return v
 
 
 def _parse_float(key, raw, ln):
     try:
-        v = float(raw)
+        return float(raw)
     except ValueError:
         raise ConfigError(f"line {ln}: {key} expects a number, got {raw!r}") from None
-    if v != v or v == float("inf") or v < 0.0:
-        raise ConfigError(f"line {ln}: {key} must be a finite value >= 0, got {raw!r}")
-    return v
+
+
+def _build(cls, lines: dict, **fields):
+    """``cls(**fields)``; a ConfigError it raises gets the line of the first
+    field it names that the file sets."""
+    try:
+        return cls(**fields)
+    except ConfigError as exc:
+        keys = [_KEY_OF_FIELD.get(f, f) for f in exc.fields]
+        in_file = [k for k in keys if k in lines]
+        if not in_file:
+            raise
+        named = "" if keys[0] == exc.fields[0] else f"{keys[0]}: "
+        raise ConfigError(f"line {lines[in_file[0]]}: {named}{exc}") from None
 
 
 def parse_config(text: str) -> ConfigFile:
@@ -131,37 +114,19 @@ def parse_config(text: str) -> ConfigFile:
                     f"line {ln}: scaling expects per_channel or full_flatten, got {raw!r}"
                 ) from None
 
+    def given(*keys):
+        return {k: seen[k] for k in keys if k in seen}
+
     d = seen.get("d", 16)
     d_f = seen.get("d_f", max(1, d // 4))
-    cfg = ConfigFile(
-        n=seen.get("n", 8),
-        d=d,
-        d_f=d_f,
-        d_mid=seen.get("d_mid", d_f),
-        d_g=seen.get("d_g", max(1, d // 4)),
-        h=seen.get("h", 3),
-        w=seen.get("w", 3),
-        k_classes=seen.get("k_classes", 4),
-        attend_to_self=seen.get("attend_to_self", True),
-        scaling=seen.get("scaling", Scaling.PER_CHANNEL),
-        seed=seen.get("seed", 0),
-        learning_rate=seen.get("learning_rate", 0.01),
-        momentum=seen.get("momentum", 0.9),
-        weight_decay=seen.get("weight_decay", 1e-4),
-        steps=seen.get("steps", 3000),
-        scenes_per_step=seen.get("scenes_per_step", 8),
+    shape = dict(d=d, h=seen.get("h", 3), w=seen.get("w", 3))
+    nlroi = _build(
+        NlRoiConfig, lines, d_f=d_f, d_mid=seen.get("d_mid", d_f),
+        d_g=seen.get("d_g", max(1, d // 4)), **shape, **given("attend_to_self", "scaling"),
     )
-
-    def where(key):
-        return f"line {lines[key]}: " if key in lines else ""
-
-    if cfg.d_f > cfg.d:
-        raise ConfigError(f"{where('d_f')}d_f={cfg.d_f} exceeds d={cfg.d}")
-    if cfg.d_mid > cfg.d:
-        raise ConfigError(f"{where('d_mid')}d_mid={cfg.d_mid} exceeds d={cfg.d}")
-    if cfg.k_classes > cfg.d:
-        raise ConfigError(
-            f"{where('k_classes')}k_classes={cfg.k_classes} exceeds d={cfg.d} "
-            "(one-hot channels must fit)"
-        )
-    return cfg
+    spec = _build(SceneSpec, lines, n=seen.get("n", 8), k=seen.get("k_classes", 4), **shape)
+    hyper = _build(
+        Hyper, lines,
+        **given("learning_rate", "momentum", "weight_decay", "steps", "scenes_per_step"),
+    )
+    return ConfigFile(seed=seen.get("seed", 0), spec=spec, nlroi=nlroi, hyper=hyper)

@@ -10,7 +10,13 @@ class DegenerateAttentionError(ValueError):
 
 
 class ConfigError(ValueError):
-    """A configuration file or configuration value is invalid."""
+    """A configuration file or configuration value is invalid. ``fields``
+    names the fields a rule rejects, the one at fault first and then any
+    other field the rule compares it with."""
+
+    def __init__(self, message: str, *fields: str):
+        super().__init__(message)
+        self.fields = fields
 
 
 class WeightsFormatError(ValueError):

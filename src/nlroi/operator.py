@@ -84,13 +84,15 @@ class NlRoiConfig:
         for name in ("d", "d_f", "d_mid", "d_g", "h", "w"):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
-        if self.d_f > self.d:
-            raise ConfigError(f"d_f={self.d_f} exceeds d={self.d} (bottleneck must reduce)")
-        if self.d_mid > self.d:
-            raise ConfigError(f"d_mid={self.d_mid} exceeds d={self.d} (bottleneck must reduce)")
+                raise ConfigError(f"{name} must be an integer >= 1, got {v!r}", name)
+        for name in ("d_f", "d_mid"):
+            if getattr(self, name) > self.d:
+                raise ConfigError(
+                    f"{name}={getattr(self, name)} exceeds d={self.d} (bottleneck must reduce)",
+                    name, "d",
+                )
         if not isinstance(self.scaling, Scaling):
-            raise ConfigError(f"scaling must be a Scaling member, got {self.scaling!r}")
+            raise ConfigError(f"scaling must be a Scaling member, got {self.scaling!r}", "scaling")
 
     def scale(self) -> float:
         if self.scaling is Scaling.PER_CHANNEL:
@@ -154,9 +156,11 @@ class ForwardCache:
     at ``row``, entry (k, j) of image i's stack is the weight that call row
     ``order[row + i*n + k]`` gives to call row ``order[row + i*n + j]``; the
     diagonal holds each RoI's self-weight. ``attn`` is the only N x N array
-    the cache keeps.
+    the cache keeps. ``config`` is the forward's, which the backward must
+    be given too.
     """
 
+    config: NlRoiConfig
     x: np.ndarray            # (N, D, H, W) input blob
     groups: tuple            # (first row, images, RoIs per image) per run of equal counts
     order: np.ndarray        # (N,) call row of each canonical row
@@ -409,6 +413,7 @@ def nlroi_forward(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig, count
         image += images
     out = ops.concat_channels(x, ops.tile_spatial(y_vec, config.h, config.w))
     cache = ForwardCache(
+        config=config,
         x=x,
         groups=groups,
         order=order,
@@ -552,6 +557,10 @@ def nlroi_backward(
 ):
     """Exact reverse-mode gradients. Returns (dX, NlRoiParams of gradients).
 
+    ``config`` must equal the forward's, which the cache records: the
+    cached activations fit no other, so a different config raises
+    ConfigError.
+
     The parameters are converted and checked as ``nlroi_forward`` does, so
     their layout and dtype do not change a bit. dX is the concat
     pass-through plus one stacked 1x1 VJP: phi, psi and g1 read the same x,
@@ -566,6 +575,8 @@ def nlroi_backward(
     the dX of the first of them. Parameter gradients are summed over every
     image of the call.
     """
+    if config is not cache.config and config != cache.config:
+        raise ConfigError(f"backward config {config} differs from the forward's {cache.config}")
     params = _check_params(params, config)
     x = cache.x
     n = x.shape[0]

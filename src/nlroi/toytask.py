@@ -30,6 +30,7 @@ takes each RoI's noisy one-hot row and never builds the blob.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -80,11 +81,11 @@ class SceneSpec:
 
     def __post_init__(self):
         if self.k > self.d:
-            raise ConfigError(f"k={self.k} classes need k <= d={self.d} channels")
+            raise ConfigError(f"k={self.k} classes need k <= d={self.d} channels", "k", "d")
         if self.n < 2:
-            raise ConfigError(f"scenes need at least 2 RoIs, got n={self.n}")
+            raise ConfigError(f"scenes need at least 2 RoIs, got n={self.n}", "n")
         if self.k < 2:
-            raise ConfigError(f"classification needs at least 2 classes, got k={self.k}")
+            raise ConfigError(f"classification needs at least 2 classes, got k={self.k}", "k")
 
 
 def _draw_scenes(prng: Prng, spec: SceneSpec, count: int):
@@ -216,10 +217,16 @@ class Hyper:
     scenes_per_step: int = 8
 
     def __post_init__(self):
-        if self.learning_rate < 0 or self.momentum < 0 or self.weight_decay < 0:
-            raise ConfigError("learning_rate, momentum, weight_decay must be >= 0")
-        if self.steps < 0 or self.scenes_per_step < 1:
-            raise ConfigError("steps must be >= 0 and scenes_per_step >= 1")
+        for name in ("learning_rate", "momentum", "weight_decay"):
+            v = getattr(self, name)
+            if not math.isfinite(v) or v < 0.0:
+                raise ConfigError(f"{name} must be a finite value >= 0, got {v!r}", name)
+        if self.steps < 0:
+            raise ConfigError(f"steps must be >= 0, got {self.steps}", "steps")
+        if self.scenes_per_step < 1:
+            raise ConfigError(
+                f"scenes_per_step must be >= 1, got {self.scenes_per_step}", "scenes_per_step"
+            )
 
 
 def train(

@@ -189,13 +189,13 @@ def test_scaling_mode_ratio(announce):
 def test_toy_task_separation(announce):
     started = time.perf_counter()
     cfg = parse_config("")  # the standard setting: N=8, K=4, D=16, 3x3
-    spec = cfg.scene_spec()
-    hyper = cfg.hyper()
+    spec = cfg.spec
+    hyper = cfg.hyper
 
     ceiling_mc = baseline_ceiling(8, 4, trials=20000, prng=Prng(123))
     ceiling_ok = abs(ceiling_mc - 0.75) < 0.01
 
-    nl_model, _ = train("nlroi", spec, cfg.nlroi_config(), hyper, seed=7)
+    nl_model, _ = train("nlroi", spec, cfg.nlroi, hyper, seed=7)
     nl_acc = evaluate(nl_model, scenes=1000, seed=7)
 
     base_model, _ = train("baseline", spec, None, hyper, seed=7)

@@ -288,6 +288,17 @@ class TestErrorPaths:
         assert rc == 1
         assert "line 1" in capsys.readouterr().err
 
+    def test_range_rule_of_a_constructor_names_the_line(self, tmp_path, capsys):
+        """A rule that SceneSpec owns is checked when the file is read, and
+        its error names the file's line."""
+        p = tmp_path / "one_roi.cfg"
+        p.write_text("n = 1\nsteps = 1\n")
+        out = tmp_path / "w.bin"
+        rc = main(["train", "--variant", "nlroi", "--config", str(p), "--out", str(out)])
+        assert rc == 1
+        assert "line 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["transmogrify"])

@@ -467,6 +467,21 @@ class TestBackward:
             with pytest.raises(NumericalError, match=re.escape(message)):
                 nlroi_backward(cache, params, cfg, up)
 
+    @pytest.mark.parametrize(
+        "change", [{"scaling": Scaling.FULL_FLATTEN}, {"attend_to_self": False}]
+    )
+    def test_config_other_than_the_forwards_raises(self, change):
+        """The cache fits only its forward's config: another one would give
+        gradients of a different operator, silently."""
+        cfg = small_config()
+        x, params = random_case(47, 4, cfg)
+        _, cache = nlroi_forward(x, params, cfg)
+        other = dataclasses.replace(cfg, **change)
+        with pytest.raises(ConfigError, match=r"backward config .* differs from the forward's"):
+            nlroi_backward(cache, params, other, np.ones((4, 13, 3, 3)))
+        # an equal config built apart is the forward's
+        nlroi_backward(cache, params, small_config(), np.ones((4, 13, 3, 3)))
+
 
 def scaled_err(a, b):
     """Largest difference relative to the largest magnitude of b."""

@@ -396,6 +396,13 @@ class TestTrain:
         with pytest.raises(ConfigError):
             train("nlroi", SPEC, None, Hyper(steps=1), seed=86)
 
+    @pytest.mark.parametrize("name", ["learning_rate", "momentum", "weight_decay"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-3])
+    def test_hyper_rejects_a_non_finite_or_negative_float(self, name, value):
+        with pytest.raises(ConfigError, match=name) as exc:
+            Hyper(**{name: value})
+        assert exc.value.fields == (name,)
+
     def test_log_fn_cadence(self):
         seen = []
         hyper = Hyper(steps=7, scenes_per_step=2)
