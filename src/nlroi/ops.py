@@ -21,7 +21,9 @@ axis:
   ``conv2d_3x3_pooled_vjp`` is one product over all RoIs, whose rows can
   round differently by position; the operator calls it in canonical order.
 * ``matmul`` reduces over its inner index in ascending order with an
-  explicit loop, so a score depends only on its own pair of rows.
+  explicit loop, so a score depends only on its own pair of rows. It
+  serves only the operator's score (``operator._scores``); the toy head
+  gets the same row guarantee from one BLAS call per row.
   ``softmax_rows`` sums each row with a NumPy sum, whose bits depend on the
   order of the row's entries; the operator makes that order canonical (see
   ``operator``), so no op here sorts values.
@@ -50,6 +52,8 @@ fresh array, never a view: the operator adds the pass-through into it.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -103,14 +107,11 @@ def conv2d_1x1_vjp(x: np.ndarray, w: np.ndarray, d_out: np.ndarray):
     return dx, dw, db
 
 
-def _pooled_kernel(w: np.ndarray, h: int, wd: int):
-    """Fold a 3x3 kernel with the mean over the H x W output positions.
-
-    ``reads`` (9, H*W) is 1 where tap (ki, kj) reads input position p for
-    some in-range output (each tap reads a position at most once). Returns
-    K (Cout, Cin*H*W), with pool(conv3x3(X))[o] = b[o] + K[o] . X, and reads.
-    """
-    cout, cin = w.shape[:2]
+@functools.lru_cache(maxsize=8)
+def _tap_reads(h: int, wd: int) -> np.ndarray:
+    """(9, H*W), 1 where tap (ki, kj) reads input position p for some
+    in-range output (each tap reads a position at most once). A constant of
+    the shape, built once per shape and read-only."""
     # tap row 0 reads input rows 0..H-2 (for outputs 1..H-1), tap row 1 every
     # row, tap row 2 rows 1..H-1; likewise for columns
     rows_ok = np.ones((3, h))
@@ -118,8 +119,15 @@ def _pooled_kernel(w: np.ndarray, h: int, wd: int):
     cols_ok = np.ones((3, wd))
     cols_ok[0, -1] = cols_ok[2, 0] = 0.0
     reads = (rows_ok[:, None, :, None] * cols_ok[None, :, None, :]).reshape(9, h * wd)
-    k = (w.reshape(cout * cin, 9) @ reads).reshape(cout, cin * h * wd) / (h * wd)
-    return k, reads
+    reads.flags.writeable = False
+    return reads
+
+
+def _pooled_kernel(w: np.ndarray, h: int, wd: int) -> np.ndarray:
+    """Fold a 3x3 kernel with the mean over the H x W output positions:
+    K (Cout, Cin*H*W), with pool(conv3x3(X))[o] = b[o] + K[o] . X."""
+    cout, cin = w.shape[:2]
+    return (w.reshape(cout * cin, 9) @ _tap_reads(h, wd)).reshape(cout, cin * h * wd) / (h * wd)
 
 
 def conv2d_3x3_pooled(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -131,17 +139,17 @@ def conv2d_3x3_pooled(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray
     bits do not depend on where it sits in the batch.
     """
     n, cin, h, wd = x.shape
-    k, _ = _pooled_kernel(w, h, wd)
+    k = _pooled_kernel(w, h, wd)
     return (k @ x.reshape(n, cin * h * wd, 1))[:, :, 0] + b
 
 
 def conv2d_3x3_pooled_vjp(x: np.ndarray, w: np.ndarray, d_out: np.ndarray):
     n, cin, h, wd = x.shape
     cout = w.shape[0]
-    k, reads = _pooled_kernel(w, h, wd)
+    k = _pooled_kernel(w, h, wd)
     dx = (d_out @ k).reshape(x.shape)
     d_k = (d_out.T @ x.reshape(n, cin * h * wd)).reshape(cout * cin, h * wd)
-    dw = (d_k @ reads.T).reshape(w.shape) / (h * wd)
+    dw = (d_k @ _tap_reads(h, wd).T).reshape(w.shape) / (h * wd)
     return dx, dw, d_out.sum(axis=0)
 
 

@@ -80,12 +80,13 @@ class SceneSpec:
     sigma: float = NOISE_SIGMA
 
     def __post_init__(self):
+        # a scene needs 2 RoIs and classification 2 classes; bool is no size
+        for name, least in (("n", 2), ("k", 2), ("d", 1), ("h", 1), ("w", 1)):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool) or v < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {v!r}", name)
         if self.k > self.d:
             raise ConfigError(f"k={self.k} classes need k <= d={self.d} channels", "k", "d")
-        if self.n < 2:
-            raise ConfigError(f"scenes need at least 2 RoIs, got n={self.n}", "n")
-        if self.k < 2:
-            raise ConfigError(f"classification needs at least 2 classes, got k={self.k}", "k")
 
 
 def _draw_scenes(prng: Prng, spec: SceneSpec, count: int):
@@ -189,8 +190,10 @@ def _head_inputs(model: ToyModel, prng: Prng, scenes: int):
 
 
 def head_logits(model: ToyModel, pooled: np.ndarray) -> np.ndarray:
-    """Per-RoI K-way logits; each row depends only on its own pooled row."""
-    return ops.matmul(pooled, model.w_head.T) + model.b_head[None, :]
+    """Per-RoI K-way logits. Each row is its own (1, D) @ (D, K) product, one
+    identical BLAS call per row as in ``ops.conv2d_1x1``, so a row's bits
+    depend only on its own pooled row: evaluation's chunking moves none."""
+    return (pooled[:, None, :] @ model.w_head.T)[:, 0] + model.b_head
 
 
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray, counts):
@@ -221,12 +224,10 @@ class Hyper:
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0.0:
                 raise ConfigError(f"{name} must be a finite value >= 0, got {v!r}", name)
-        if self.steps < 0:
-            raise ConfigError(f"steps must be >= 0, got {self.steps}", "steps")
-        if self.scenes_per_step < 1:
-            raise ConfigError(
-                f"scenes_per_step must be >= 1, got {self.scenes_per_step}", "scenes_per_step"
-            )
+        for name, least in (("steps", 0), ("scenes_per_step", 1)):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool) or v < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {v!r}", name)
 
 
 def train(
@@ -245,6 +246,13 @@ def train(
     and makes one forward and one backward over all of them. Returns
     (model, per-step losses). Raises DivergenceError on a non-finite loss.
     ``log_fn(step, loss)`` fires every ``log_every`` steps (1-based).
+
+    The model's tensors are views of one flat float64 buffer, in
+    ``ToyModel.tensors()`` order, and a step concatenates its gradients in
+    that order once. The update is then three in-place expressions over the
+    whole buffer, and the velocity is one array; each element gets exactly
+    the operations a per-tensor update would give it, so the weights keep
+    their bits.
     """
     if variant not in ("baseline", "nlroi"):
         raise ConfigError(f"variant must be 'baseline' or 'nlroi', got {variant!r}")
@@ -255,8 +263,16 @@ def train(
     prng = Prng(seed)
     model = init_model(spec, nlroi_config, prng)
 
-    params = [p for _, p in model.tensors()]
-    velocity = [np.zeros_like(p) for p in params]
+    named = model.tensors()
+    flat = np.concatenate([p for _, p in named], axis=None)
+    views, offset = {}, 0
+    for name, p in named:
+        views[name] = flat[offset : offset + p.size].reshape(p.shape)
+        offset += p.size
+    model.w_head, model.b_head = views["w_head"], views["b_head"]
+    if model.nlroi_params is not None:
+        model.nlroi_params = NlRoiParams.from_named(views)
+    velocity = np.zeros_like(flat)
 
     losses = []
     for step in range(1, hyper.steps + 1):
@@ -275,10 +291,10 @@ def train(
             d_feats = ops.tile_spatial(d_pooled, spec.h, spec.w)
             _, d_nlroi = nlroi_backward(cache, model.nlroi_params, model.nlroi_config, d_feats)
             grads += [g for _, g in d_nlroi.tensors()]
-        for p, v, g in zip(params, velocity, grads, strict=True):
-            v *= hyper.momentum
-            v += g / hyper.scenes_per_step + hyper.weight_decay * p
-            p -= hyper.learning_rate * v
+        grad = np.concatenate(grads, axis=None)
+        velocity *= hyper.momentum
+        velocity += grad / hyper.scenes_per_step + hyper.weight_decay * flat
+        flat -= hyper.learning_rate * velocity
         if log_fn is not None and step % log_every == 0:
             log_fn(step, step_loss)
     return model, losses

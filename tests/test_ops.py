@@ -154,6 +154,22 @@ class TestConv3x3Pooled:
         alone = np.concatenate([ops.conv2d_3x3_pooled(x[i : i + 1], w, b) for i in range(37)])
         assert np.array_equal(ops.conv2d_3x3_pooled(x, w, b), alone)
 
+    def test_tap_mask_is_built_once_per_shape_and_read_only(self):
+        for h, wd in ((1, 1), (2, 3), (3, 5), (7, 7)):
+            want = np.zeros((9, h * wd))
+            for ki in range(3):
+                for kj in range(3):
+                    for r in range(h):
+                        for c in range(wd):
+                            # output (r - ki + 1, c - kj + 1) reads input (r, c) by this tap
+                            if 0 <= r - ki + 1 < h and 0 <= c - kj + 1 < wd:
+                                want[3 * ki + kj, r * wd + c] = 1.0
+            reads = ops._tap_reads(h, wd)
+            assert np.array_equal(reads, want), (h, wd)
+            assert ops._tap_reads(h, wd) is reads
+            with pytest.raises(ValueError):
+                reads[0, 0] = 2.0
+
 
 class TestSoftmaxRows:
     def test_symmetric_row(self):

@@ -13,6 +13,7 @@ from nlroi.toytask import (
     Hyper,
     Scene,
     SceneSpec,
+    _cross_entropy,
     _draw_scenes,
     _head_inputs,
     evaluate,
@@ -63,6 +64,31 @@ class TestSceneSpec:
     def test_too_few_classes(self):
         with pytest.raises(ConfigError):
             SceneSpec(n=4, k=1, d=4, h=2, w=2)
+
+
+SIZE_CASES = [
+    # (constructor, fields that override a valid call, field named first)
+    (SceneSpec, dict(h=0, w=-1), "h"),
+    (SceneSpec, dict(w=-1), "w"),
+    (SceneSpec, dict(d=0), "d"),  # before the k <= d rule
+    (SceneSpec, dict(h=2.5), "h"),
+    (SceneSpec, dict(n=4.0), "n"),
+    (SceneSpec, dict(k=2.0), "k"),
+    (SceneSpec, dict(d=True), "d"),
+    (SceneSpec, dict(w=True), "w"),
+    (Hyper, dict(steps=2.5), "steps"),
+    (Hyper, dict(steps=True), "steps"),
+    (Hyper, dict(scenes_per_step=2.0), "scenes_per_step"),
+    (Hyper, dict(scenes_per_step=True), "scenes_per_step"),
+]
+
+
+@pytest.mark.parametrize("cls, bad, field", SIZE_CASES)
+def test_sizes_must_be_integers_and_positive(cls, bad, field):
+    valid = dict(n=4, k=2, d=4, h=2, w=2) if cls is SceneSpec else {}
+    with pytest.raises(ConfigError, match=field) as exc:
+        cls(**{**valid, **bad})
+    assert exc.value.fields == (field,)
 
 
 class TestGenerateScene:
@@ -229,7 +255,7 @@ def train_per_scene(variant, hyper, seed):
             if model.nlroi_params is not None:
                 feats, cache = nlroi_forward(feats, model.nlroi_params, OP)
             pooled = pool(feats)
-            logits = ops.matmul(pooled, model.w_head.T) + model.b_head
+            logits = head_logits(model, pooled)
             n = logits.shape[0]
             shifted = logits - np.max(logits, axis=1, keepdims=True)
             lse = np.log(np.sum(np.exp(shifted), axis=1))
@@ -277,10 +303,49 @@ class TestBatchedSteps:
                     feats = scene.features
                     if variant_model.nlroi_params is not None:
                         feats, _ = nlroi_forward(feats, variant_model.nlroi_params, OP)
-                    logits = ops.matmul(pool(feats), variant_model.w_head.T)
-                    preds = np.argmax(logits + variant_model.b_head, axis=1)
+                    preds = np.argmax(head_logits(variant_model, pool(feats)), axis=1)
                     correct += int(np.sum(preds == scene.labels))
                 assert evaluate(variant_model, scenes, seed=98) == correct / (scenes * 8)
+
+
+def train_per_tensor(variant, hyper, seed):
+    """The trainer's step with SGD tensor by tensor over ``model.tensors()``,
+    frozen as the byte reference for the flat-buffer update."""
+    prng = Prng(seed)
+    model = init_model(SPEC, OP if variant == "nlroi" else None, prng)
+    params = [p for _, p in model.tensors()]
+    velocity = [np.zeros_like(p) for p in params]
+    losses = []
+    for _ in range(hyper.steps):
+        pooled, labels, counts, cache = _head_inputs(model, prng, hyper.scenes_per_step)
+        loss, d_logits = _cross_entropy(head_logits(model, pooled), labels, counts)
+        losses.append(loss / hyper.scenes_per_step)
+        grads = [d_logits.T @ pooled, np.sum(d_logits, axis=0)]
+        if cache is not None:
+            d_pooled = d_logits @ model.w_head / (SPEC.h * SPEC.w)
+            d_feats = ops.tile_spatial(d_pooled, SPEC.h, SPEC.w)
+            _, d_nlroi = nlroi_backward(cache, model.nlroi_params, OP, d_feats)
+            grads += [g for _, g in d_nlroi.tensors()]
+        for p, v, g in zip(params, velocity, grads, strict=True):
+            v *= hyper.momentum
+            v += g / hyper.scenes_per_step + hyper.weight_decay * p
+            p -= hyper.learning_rate * v
+    return model, losses
+
+
+class TestFlatUpdate:
+    """SGD over one flat buffer gives the per-tensor update's bytes."""
+
+    @pytest.mark.parametrize("variant", ["nlroi", "baseline"])
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_train_matches_per_tensor_update_bitwise(self, variant, seed):
+        hyper = Hyper(steps=20)
+        model, losses = train(variant, SPEC, OP, hyper, seed)
+        ref_model, ref_losses = train_per_tensor(variant, hyper, seed)
+        assert np.asarray(losses).tobytes() == np.asarray(ref_losses).tobytes()
+        assert [n for n, _ in model.tensors()] == [n for n, _ in ref_model.tensors()]
+        for (name, got), (_, want) in zip(model.tensors(), ref_model.tensors()):
+            assert got.tobytes() == want.tobytes(), name
 
 
 class TestBlockDrawnSteps:
@@ -329,6 +394,17 @@ class TestModel:
         out, _ = nlroi_forward(scene.features, model.nlroi_params, OP)
         logits = head_logits(model, pool(out))
         assert np.array_equal(logits, np.zeros((8, 4)))
+
+    @pytest.mark.parametrize("m", [1, 7, 64])
+    def test_head_logits_row_alone_is_bitwise_its_stacked_row(self, m):
+        model = init_model(SPEC, OP, Prng(101))
+        prng = Prng(102 + m)
+        model.w_head = prng.normals(model.w_head.size).reshape(model.w_head.shape)
+        model.b_head = prng.normals(model.b_head.size)
+        pooled = prng.normals(m * model.w_head.shape[1]).reshape(m, -1)
+        stacked = head_logits(model, pooled)
+        for i in range(m):
+            assert head_logits(model, pooled[i : i + 1].copy()).tobytes() == stacked[i].tobytes()
 
     def test_untrained_accuracy_near_chance(self):
         model = init_model(SPEC, OP, Prng(72))
