@@ -1,16 +1,24 @@
 """Finite-difference verification of analytic gradients.
 
 ``finite_diff`` numerically differentiates any scalar loss of one tensor
-with central differences. ``check_all_gradients`` builds a random input
-blob and random parameters, takes the loss to be a fixed random projection
-of the operator output (a plain sum could hide sign errors through
-cancellation), and compares every analytic gradient the backward pass
-produces against the numeric one.
+with Richardson-extrapolated central differences. ``check_all_gradients``
+builds a random input blob and random parameters, takes the loss to be a
+fixed random projection of the operator output (a plain sum could hide
+sign errors through cancellation), and compares every analytic gradient
+the backward pass produces against the numeric one.
 
 Relative error uses the denominator max(|a|, |b|, 1e-8) so that tiny
-gradients are compared absolutely. Step 1e-5 balances truncation against
-round-off in 64-bit arithmetic; it and the tolerance 1e-6 are module
-constants, deliberately not configurable.
+gradients are compared absolutely. The step 1e-5 and the tolerance 1e-6
+are module constants, deliberately not configurable.
+
+A plain central difference is not round-off-bound at this step but
+truncation-bound: its error is c*h^2, and at the toy config with seed
+16845541668068844090 ``w_phi``'s worst relative error was 1.1e-4 at
+h=1e-4, 9.9e-6 at 3e-5 and 1.1e-6 at 1e-5, failing the tolerance. So
+``finite_diff`` returns the Richardson combination (4*D(h/2) - D(h))/3 of
+two central differences, which cancels the h^2 term; over 80 checks (two
+modes, 40 seeds) its worst error was 3.7e-7. Its probes stay within
++-STEP, so it crosses no more ReLU kinks than one central difference did.
 
 The projection is drawn with a small scale (1e-6). Central differences
 carry cancellation noise of order |loss|*eps/step on every coordinate,
@@ -33,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .operator import NlRoiConfig, NlRoiParams, nlroi_backward, nlroi_forward
 from .rng import Prng
 
@@ -44,9 +52,12 @@ PROJECTION_SCALE = 1e-6  # keeps FD cancellation noise below the floor, see abov
 
 
 def finite_diff(loss_fn, x: np.ndarray, step: float) -> np.ndarray:
-    """Central-difference gradient of a scalar function at x.
+    """Richardson-extrapolated central-difference gradient of a scalar
+    function at x.
 
-    grad_k = (L(x + step*e_k) - L(x - step*e_k)) / (2*step)
+    With D(h)_k = (L(x + h*e_k) - L(x - h*e_k)) / (2h), whose error is
+    c*h^2 + O(h^4), grad_k = (4*D(step/2)_k - D(step)_k) / 3 cancels the h^2
+    term. No probe goes past +-step.
     """
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
@@ -56,16 +67,19 @@ def finite_diff(loss_fn, x: np.ndarray, step: float) -> np.ndarray:
     for k in range(flat.size):
         orig = flat[k]
         probe = x.copy()
-        probe.reshape(-1)[k] = orig + step
-        lp = float(loss_fn(probe))
-        probe.reshape(-1)[k] = orig - step
-        lm = float(loss_fn(probe))
-        if not (np.isfinite(lp) and np.isfinite(lm)):
-            raise NumericalError(
-                f"non-finite loss while probing coordinate {k}: "
-                f"L+={lp!r} L-={lm!r}"
-            )
-        grad.reshape(-1)[k] = (lp - lm) / (2.0 * step)
+        central = []
+        for h in (step, step / 2.0):
+            probe.reshape(-1)[k] = orig + h
+            lp = float(loss_fn(probe))
+            probe.reshape(-1)[k] = orig - h
+            lm = float(loss_fn(probe))
+            if not (np.isfinite(lp) and np.isfinite(lm)):
+                raise NumericalError(
+                    f"non-finite loss while probing coordinate {k} at step {h:g}: "
+                    f"L+={lp!r} L-={lm!r}"
+                )
+            central.append((lp - lm) / (2.0 * h))
+        grad.reshape(-1)[k] = (4.0 * central[1] - central[0]) / 3.0
     return grad
 
 
@@ -110,6 +124,8 @@ def check_all_gradients(config: NlRoiConfig, seed: int, n: int = 4) -> GradRepor
     which exercises every output coordinate with an independent weight.
     The report holds each tensor's worst relative error; R is not kept.
     """
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ConfigError(f"n must be an integer >= 1, got {n!r}", "n")
     prng = Prng(seed)
     x = prng.normals(n * config.d * config.h * config.w).reshape(
         n, config.d, config.h, config.w

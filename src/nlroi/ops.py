@@ -43,7 +43,11 @@ row dot too, one BLAS dot per row) and sum with NumPy reductions. Sums
 over RoIs (the weight and bias gradients) take the RoIs in the order
 given, so reordering the RoIs can change their last bits: a BLAS
 reduction's order depends on the operands' sizes and on where an element
-falls in the blocking.
+falls in the blocking. ``conv2d_1x1_vjp`` takes its weight gradient as a
+sum of one GEMM per chunk of consecutive RoIs, in call order, each chunk
+at most ``_DW_CHUNK_VALUES`` values of X; so its bits also follow the
+chunk bounds, which depend only on the shapes. A stack that fits one
+chunk (the toy and large_n ones) gets the bits of one GEMM over all RoIs.
 
 A VJP result may be a view of its upstream gradient (``concat_channels_vjp``
 returns the two channel slices of ``d_out``), so a caller that writes into
@@ -58,6 +62,9 @@ import functools
 import numpy as np
 
 from .errors import DegenerateAttentionError
+
+# Values of X per chunk of the 1x1 VJP's weight gradient (2 MB of float64)
+_DW_CHUNK_VALUES = 1 << 18
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -94,15 +101,29 @@ def conv2d_1x1(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(n, cout, h, wd)
 
 
+def _weight_grad(g: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """(Cout, Cin): one GEMM over all (RoI, position) pairs of g (n, Cout,
+    P) and xs (n, Cin, P), (Cout, n*P) @ (n*P, Cin)."""
+    n, cout, p = g.shape
+    g_cols = g.transpose(1, 0, 2).reshape(cout, n * p)
+    x_cols = xs.transpose(1, 0, 2).reshape(xs.shape[1], n * p)
+    return g_cols @ x_cols.T
+
+
 def conv2d_1x1_vjp(x: np.ndarray, w: np.ndarray, d_out: np.ndarray):
+    """dX is one identical BLAS call per RoI. dW sums one ``_weight_grad``
+    per chunk of consecutive RoIs in call order, the first chunk starting
+    the sum; a chunk holds at most ``_DW_CHUNK_VALUES`` values of X (at
+    least one RoI), so the GEMM's transposed copies stay that small."""
     n, cin, h, wd = x.shape
     cout = w.shape[0]
     g = d_out.reshape(n, cout, h * wd)
     dx = (w.T @ g).reshape(n, cin, h, wd)
-    # one GEMM over all (RoI, position) pairs: (Cout, N*P) @ (N*P, Cin)
-    g_cols = g.transpose(1, 0, 2).reshape(cout, n * h * wd)
-    x_cols = x.reshape(n, cin, h * wd).transpose(1, 0, 2).reshape(cin, n * h * wd)
-    dw = g_cols @ x_cols.T
+    xs = x.reshape(n, cin, h * wd)
+    step = max(1, _DW_CHUNK_VALUES // (cin * h * wd))
+    dw = _weight_grad(g[:step], xs[:step])  # zeros when there are no RoIs
+    for a in range(step, n, step):
+        dw += _weight_grad(g[a : a + step], xs[a : a + step])
     db = np.sum(d_out, axis=(0, 2, 3))
     return dx, dw, db
 

@@ -21,7 +21,11 @@ from one block of PRNG outputs, which gives exactly the scenes that one
 ``generate_scene`` call per scene gives, and goes through the model in one
 call: the nlroi variant puts the scenes' RoIs into one blob and makes one
 operator forward and one backward, with each scene as a separate image, so
-RoIs attend only within their own scene. Every map the head pools is
+RoIs attend only within their own scene. An evaluation chunk holds as many
+scenes as fit ``_EVAL_BUDGET`` RoI feature values (56 at the default
+config), at least one. The chunking moves no bit: the block draw is the
+per-scene draw, each image's operator output is the one-image call's, and
+the head makes one BLAS call per row. Every map the head pools is
 spatially constant (the features replicate a row, and the operator appends
 a tiled vector), so its pooled row is its value at any position: the nlroi
 variant reads position (0, 0) of the operator output, and the baseline
@@ -51,8 +55,8 @@ from .rng import Prng, partial_shuffle, raw_to_uniforms, uniforms_to_normals
 # seed to evaluate() never replays the exact scenes seen during training.
 _EVAL_SEED_SALT = 0xD1B54A32D192ED03
 _MASK64 = (1 << 64) - 1
-# Scenes per model call in evaluate()
-_EVAL_CHUNK = 8
+# RoI feature values (float64) per model call in evaluate(): 512 KB of blob
+_EVAL_BUDGET = 1 << 16
 
 NOISE_SIGMA = 0.1
 
@@ -301,15 +305,23 @@ def train(
 
 
 def evaluate(model: ToyModel, scenes: int, seed: int) -> float:
-    """Mean per-RoI accuracy over freshly generated scenes, which go through
-    the model in chunks of a few scenes per call."""
-    if scenes < 1:
-        raise ValueError(f"scenes must be >= 1, got {scenes}")
+    """Mean per-RoI accuracy over freshly generated scenes.
+
+    The scenes go through the model in chunks: as many scenes per call as
+    fit ``_EVAL_BUDGET`` RoI feature values (N·D·H·W per scene), and never
+    fewer than one. No bit depends on the chunking (see the module
+    docstring), so a larger budget only shares each call's fixed cost over
+    more scenes.
+    """
+    if not isinstance(scenes, int) or isinstance(scenes, bool) or scenes < 1:
+        raise ConfigError(f"scenes must be an integer >= 1, got {scenes!r}", "scenes")
+    spec = model.spec
+    chunk = max(1, _EVAL_BUDGET // (spec.n * spec.d * spec.h * spec.w))
     prng = Prng((seed ^ _EVAL_SEED_SALT) & _MASK64)
     correct = 0
     total = 0
-    for start in range(0, scenes, _EVAL_CHUNK):
-        pooled, labels, _, _ = _head_inputs(model, prng, min(_EVAL_CHUNK, scenes - start))
+    for start in range(0, scenes, chunk):
+        pooled, labels, _, _ = _head_inputs(model, prng, min(chunk, scenes - start))
         preds = np.argmax(head_logits(model, pooled), axis=1)
         correct += int(np.sum(preds == labels))
         total += labels.size

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nlroi.errors import NumericalError
+from nlroi.errors import ConfigError, NumericalError
 from nlroi.gradcheck import (
     GradReport,
     check_all_gradients,
@@ -39,6 +39,13 @@ class TestFiniteDiff:
         g = finite_diff(lambda v: float(v.sum()), x, step=1e-5)
         assert g.shape == (3, 4)
         assert np.max(np.abs(g - 1.0)) < 1e-9
+
+    def test_cubic_has_no_truncation_error(self):
+        # a central difference of x^3 is 3x^2 + h^2 exactly; the Richardson
+        # combination cancels the h^2 term, which at h=1e-2 is 1e-4
+        x = np.array([0.5, -2.0, 3.0])
+        g = finite_diff(lambda v: float(np.sum(v**3)), x, step=1e-2)
+        assert np.max(np.abs(g - 3.0 * x * x)) < 1e-10
 
     def test_nonfinite_loss_raises(self):
         def bad(v):
@@ -98,6 +105,20 @@ class TestCheckAllGradients:
             NlRoiConfig(d=6, d_f=3, d_mid=3, d_g=4, h=2, w=2), seed=15, n=3
         )
         assert dataclasses.replace(report, tolerance=0.0).passed is False
+
+    def test_passes_where_central_differences_were_truncation_bound(self):
+        # at this seed a plain central difference reads w_phi's worst
+        # relative error as 1.1e-6, over the tolerance
+        cfg = NlRoiConfig(d=16, d_f=4, d_mid=4, d_g=4, h=3, w=3)
+        report = check_all_gradients(cfg, seed=16845541668068844090)
+        assert report.passed, format_report(report)
+
+    @pytest.mark.parametrize("n", [0, -1, 2.0, True, None])
+    def test_rejects_a_roi_count_that_is_no_positive_integer(self, n):
+        cfg = NlRoiConfig(d=6, d_f=3, d_mid=3, d_g=4, h=2, w=2)
+        with pytest.raises(ConfigError, match="n must be an integer >= 1") as err:
+            check_all_gradients(cfg, seed=17, n=n)
+        assert err.value.fields == ("n",)
 
     def test_deterministic_given_seed(self):
         cfg = NlRoiConfig(d=6, d_f=3, d_mid=3, d_g=4, h=2, w=2)

@@ -354,6 +354,38 @@ class TestVjps:
             if n == 0:
                 assert not np.any(dw) and not np.any(db)
 
+    def test_conv1x1_vjp_dw_in_chunks_matches_one_gemm(self, monkeypatch):
+        """dW summed over RoI chunks against the one GEMM over all (RoI,
+        position) pairs: bitwise where one chunk holds every RoI (the toy
+        and large_n stacks), within 1e-12 relative where it does not
+        (paper_scale's stack, 20 RoIs a chunk, and 3-RoI chunks of 7)."""
+
+        def one_gemm(x, d_out):
+            n, cin, h, wd = x.shape
+            g_cols = d_out.reshape(n, -1, h * wd).transpose(1, 0, 2).reshape(-1, n * h * wd)
+            x_cols = x.reshape(n, cin, h * wd).transpose(1, 0, 2).reshape(cin, n * h * wd)
+            return g_cols @ x_cols.T
+
+        def dw_case(n, cin, cout, hw, seed):
+            prng = Prng(seed)
+            x = prng.normals(n * cin * hw * hw).reshape(n, cin, hw, hw)
+            w = prng.normals(cout * cin).reshape(cout, cin)
+            up = prng.normals(n * cout * hw * hw).reshape(n, cout, hw, hw)
+            return ops.conv2d_1x1_vjp(x, w, up)[1], one_gemm(x, up)
+
+        for n, cin, cout, hw in ((64, 16, 12, 3), (1024, 8, 12, 4)):
+            assert n * cin * hw * hw <= ops._DW_CHUNK_VALUES
+            got, want = dw_case(n, cin, cout, hw, 40 + n)
+            assert got.tobytes() == want.tobytes(), (n, cin)
+
+        def assert_close(got, want):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+        assert 128 * 256 * 49 > ops._DW_CHUNK_VALUES
+        assert_close(*dw_case(128, 256, 192, 7, 41))
+        monkeypatch.setattr(ops, "_DW_CHUNK_VALUES", 3 * 5 * 9)
+        assert_close(*dw_case(7, 5, 4, 3, 42))
+
     def test_softmax_vjp_fd(self):
         prng = Prng(24)
         s = prng.normals(20).reshape(4, 5)

@@ -358,7 +358,7 @@ class TestBlockDrawnSteps:
                 monkeypatch.setattr(toytask, "_head_inputs", head_inputs_per_scene)
             for variant in ("nlroi", "baseline"):
                 model, losses = train(variant, SPEC, OP, Hyper(steps=15, scenes_per_step=3), 99)
-                accs = [evaluate(model, scenes, seed=100) for scenes in (1, 8, 13)]
+                accs = [evaluate(model, scenes, seed=100) for scenes in (1, 8, 13, 55, 56, 57)]
                 runs[route, variant] = (
                     np.asarray(losses).tobytes(),
                     [t.tobytes() for _, t in model.tensors()],
@@ -366,6 +366,57 @@ class TestBlockDrawnSteps:
                 )
         for variant in ("nlroi", "baseline"):
             assert runs["block", variant] == runs["per_scene", variant], variant
+
+    def test_evaluate_logits_match_one_call_per_scene(self, monkeypatch):
+        """Around a chunk boundary (56 scenes at this config), evaluation's
+        logits are bytewise those of one draw, one operator call and one
+        head call per scene."""
+        chunk = toytask._EVAL_BUDGET // (SPEC.n * SPEC.d * SPEC.h * SPEC.w)
+        assert chunk == 56
+        logits = []
+
+        def logged_head(model, pooled):
+            logits.append(head_logits(model, pooled))
+            return logits[-1]
+
+        monkeypatch.setattr(toytask, "head_logits", logged_head)
+        models = [train(v, SPEC, OP, Hyper(steps=10), 101)[0] for v in ("nlroi", "baseline")]
+        for scenes in (chunk - 1, chunk, chunk + 1):
+            runs = {}
+            for route in ("chunked", "per_scene"):
+                with monkeypatch.context() as m:
+                    if route == "per_scene":
+                        m.setattr(toytask, "_EVAL_BUDGET", 1)
+                        m.setattr(toytask, "_head_inputs", head_inputs_per_scene)
+                    for model in models:
+                        logits.clear()
+                        acc = evaluate(model, scenes, seed=102)
+                        calls = len(logits)
+                        runs[route, model.nlroi_config is None] = (
+                            acc, np.concatenate(logits).tobytes(), calls)
+            for baseline in (False, True):
+                chunked, per_scene = runs["chunked", baseline], runs["per_scene", baseline]
+                assert chunked[:2] == per_scene[:2], (scenes, baseline)
+                assert (chunked[2], per_scene[2]) == (-(-scenes // chunk), scenes)
+
+    @pytest.mark.parametrize("d, hw, scenes_per_call", [(64, 7, [2, 2, 1]), (256, 7, [1] * 5)])
+    def test_evaluate_calls_stay_within_the_budget(self, monkeypatch, d, hw, scenes_per_call):
+        """At large RoIs no operator call gets more than the budget's RoI
+        feature values, or more than one scene where one scene exceeds it."""
+        spec = SceneSpec(n=8, k=4, d=d, h=hw, w=hw)
+        model = init_model(spec, NlRoiConfig(d=d, d_f=4, d_mid=4, d_g=4, h=hw, w=hw), Prng(5))
+        calls = []
+
+        def recorded_forward(x, params, config, counts):
+            calls.append((x.size, list(counts)))
+            return nlroi_forward(x, params, config, counts)
+
+        monkeypatch.setattr(toytask, "nlroi_forward", recorded_forward)
+        evaluate(model, 5, seed=6)
+        assert [len(c) for _, c in calls] == scenes_per_call
+        for size, counts in calls:
+            assert size <= toytask._EVAL_BUDGET or counts == [spec.n]
+            assert counts == [spec.n] * len(counts)
 
 
 class TestBaselineCeiling:
@@ -416,8 +467,15 @@ class TestModel:
     def test_evaluate_rejects_fewer_than_one_scene(self):
         model = init_model(SPEC, None, Prng(72))
         for scenes in (0, -1):
-            with pytest.raises(ValueError, match="scenes must be >= 1"):
+            with pytest.raises(ValueError, match="scenes must be an integer >= 1"):
                 evaluate(model, scenes=scenes, seed=73)
+
+    @pytest.mark.parametrize("scenes", [True, 2.5, 2.0, "3", None])
+    def test_evaluate_rejects_a_scene_count_that_is_no_integer(self, scenes):
+        model = init_model(SPEC, None, Prng(72))
+        with pytest.raises(ConfigError, match="scenes must be an integer >= 1") as err:
+            evaluate(model, scenes=scenes, seed=73)
+        assert err.value.fields == ("scenes",)
 
     def test_baseline_variant_has_no_operator(self):
         model = init_model(SPEC, None, Prng(74))
