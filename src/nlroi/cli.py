@@ -145,8 +145,6 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _load_config(args)
-    if args.scenes < 1:
-        raise ConfigError(f"--scenes must be >= 1, got {args.scenes}")
     model = _model_from_weights(load_weights(args.weights), cfg)
     acc = evaluate(model, scenes=args.scenes, seed=_seed(args, cfg))
     print(f"ACCURACY {acc:.6f}")
@@ -228,7 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
     ).set_defaults(fn=_cmd_gradcheck)
 
     p = sub.add_parser(
-        "bench", parents=[common], help="time forward/backward over an N sweep (CSV)"
+        "bench", parents=[common], help="time forward/backward over an N sweep (CSV)",
+        description="Times forward and backward over the fixed N sweep DEFAULT_SWEEP "
+        "(N = 64..1024) and prints the log-log slope. Of a --config file only the "
+        "seed is read.",
     )
     p.add_argument("--reps", type=int, default=MIN_REPS, help="repetitions per size")
     p.set_defaults(fn=_cmd_bench)

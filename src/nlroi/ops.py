@@ -4,11 +4,13 @@ The operations take C-contiguous float64 arrays of consistent shapes and
 check none of it: the operator checks its inputs once, at its entries, and
 builds every other argument itself (so does ``toytask``). What is left is
 about values: ``softmax_rows`` rejects a masked row of one entry and skips
-an empty array. ``matmul`` copies its operands to C order for its loop,
-which reads B by rows while the score's B is a transposed view: left
+an empty array. ``matmul``'s loop (below) copies its operands to C order,
+since it reads B by rows while the score's B is a transposed view: left
 strided, B took the loop from 198 to 324 ms at large_n's shape (N = 1024,
 64 inner steps) and from 108 to 148 ms at paper_scale's (N = 128, 3136);
-min of 5 on a 2-vCPU Xeon. Every operation is a pure function of its
+its one product temporary starts on a 64-byte boundary, which took
+large_n's score from about 125 to 105 ms against an unaligned one; min of
+5 on a 2-vCPU Xeon. Every operation is a pure function of its
 inputs, except that the softmax and its VJP overwrite theirs (below). What
 the operations guarantee about their bits, given N RoIs along the leading
 axis:
@@ -20,10 +22,23 @@ axis:
   depend on where it sits in the batch. The input gradient of
   ``conv2d_3x3_pooled_vjp`` is one product over all RoIs, whose rows can
   round differently by position; the operator calls it in canonical order.
-* ``matmul`` reduces over its inner index in ascending order with an
-  explicit loop, so a score depends only on its own pair of rows. It
-  serves only the operator's score (``operator._scores``); the toy head
-  gets the same row guarantee from one BLAS call per row.
+* ``matmul`` adds each output's products from a zero in ascending inner
+  index, so a score depends only on its own pair of rows, whichever of
+  two paths computes it. A product stack of at most
+  ``_PRODUCT_STACK_VALUES`` values (inner length K times output entries:
+  a toy scene's or training step's scores, never a toy evaluation chunk's
+  or a ``bench`` sweep shape's) is written by one multiply, K leading, and
+  summed by one ``np.add.reduce`` over K, which NumPy adds in ascending
+  order when another axis of length >= 2 is left for its inner loop. A
+  product with a single output entry (a lone 1x1 matrix, or a stack of
+  one) leaves none, and NumPy would sum its lone axis pairwise: other bits
+  from K = 8 on, and NaN where the loop overflows to inf. That product,
+  like every larger stack, takes the loop: one multiply and one add per
+  inner index. The paths differ only where both factors of one product
+  are NaN, as NumPy's multiply kernels do not fix which NaN the product
+  keeps; the operator rejects a non-finite score, so no score shows this.
+  ``matmul`` serves only the operator's score (``operator._scores``); the
+  toy head gets the same row guarantee from one BLAS call per row.
   ``softmax_rows`` sums each row with a NumPy sum, whose bits depend on the
   order of the row's entries; the operator makes that order canonical (see
   ``operator``), so no op here sorts values.
@@ -58,6 +73,7 @@ fresh array, never a view: the operator adds the pass-through into it.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -66,24 +82,49 @@ from .errors import DegenerateAttentionError
 # Values of X per chunk of the 1x1 VJP's weight gradient (2 MB of float64)
 _DW_CHUNK_VALUES = 1 << 18
 
+# Most products (inner length times output entries) that ``matmul`` writes in
+# one multiply (256 KB of float64); larger stacks take its loop
+_PRODUCT_STACK_VALUES = 1 << 15
+
+
+def _aligned_empty(shape: tuple) -> np.ndarray:
+    """An uninitialized float64 array whose data starts on a 64-byte boundary."""
+    count = math.prod(shape)
+    raw = np.empty(count + 8)
+    skip = -raw.ctypes.data % 64 // 8
+    return raw[skip : skip + count].reshape(shape)
+
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """C[i,j] = sum_p A[i,p] * B[p,j], accumulated in ascending p.
 
     Takes two matrices, or two stacks (B, m, k) and (B, k, n) multiplied
     pairwise. Every output element gets the same sequence of operations in
-    either form, and depends only on its own row of A and column of B.
+    either form and on either path (see the module docstring), and depends
+    only on its own row of A and column of B.
     """
-    # copies for the loop's reads, not conversions (see the module docstring)
-    a = np.ascontiguousarray(a)
-    b = np.ascontiguousarray(b)
+    k = a.shape[-1]
+    shape = a.shape[:-1] + b.shape[-1:]
+    size = math.prod(shape)
+    stacked = 1 < size and k * size <= _PRODUCT_STACK_VALUES
+    if not stacked:
+        # copies for the loop's reads, not conversions (see the module docstring)
+        a = np.ascontiguousarray(a)
+        b = np.ascontiguousarray(b)
     batch = tuple(range(a.ndim - 2))
     # a_cols[p] is column p of A as (..., m, 1), b_rows[p] row p of B as (..., 1, n)
     a_cols = a.transpose((a.ndim - 1,) + batch + (a.ndim - 2,))[..., None]
     b_rows = b.transpose((b.ndim - 2,) + batch + (b.ndim - 1,))[..., None, :]
-    out = np.zeros(a.shape[:-1] + b.shape[-1:])
-    for p in range(a.shape[-1]):
-        out += a_cols[p] * b_rows[p]
+    if stacked:
+        products = np.empty((k,) + shape)
+        np.multiply(a_cols, b_rows, out=products)
+        # start from +0.0 as the loop does, whatever start a NumPy version picks
+        return np.add.reduce(products, axis=0, initial=0.0)
+    out = np.zeros(shape)
+    product = _aligned_empty(shape)
+    for p in range(k):
+        np.multiply(a_cols[p], b_rows[p], out=product)
+        out += product
     return out
 
 

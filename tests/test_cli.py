@@ -138,6 +138,12 @@ class TestBenchCommand:
         assert main(["bench"]) == 0
         assert "slope=n/a: need >= 4 distinct N values" in capsys.readouterr().err
 
+    def test_help_says_what_it_times_and_reads(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bench", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "DEFAULT_SWEEP" in text and "only the seed is read" in text
+
     def test_reps_floor(self, capsys):
         rc = main(["bench", "--reps", "2"])
         assert rc == 1
@@ -211,7 +217,14 @@ class TestTrainEval:
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
-        assert captured.err.startswith("error: --scenes must be >= 1")
+        assert captured.err.startswith(f"error: scenes must be an integer >= 1, got {scenes}")
+
+    def test_eval_reports_bad_weights_before_bad_scenes(self, capsys, fast_config):
+        rc = main(["eval", "--weights", "/nonexistent/w.bin", "--config", fast_config,
+                   "--scenes", "0"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "/nonexistent/w.bin" in err and "scenes" not in err
 
     def test_eval_rejects_mismatched_head(self, tmp_path, capsys, fast_config):
         bad = tmp_path / "bad.bin"

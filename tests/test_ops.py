@@ -63,6 +63,60 @@ def max_rel(a, b):
     return float(np.max(np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)))
 
 
+# (batch, m, k, n) of A (batch, m, k) and B (batch, k, n): stacks on both sides
+# of ops._PRODUCT_STACK_VALUES with inner length >= 9, lone and stacked 1x1,
+# m x 1 and 1 x n products, and zero-size stacks
+MATMUL_SHAPES = [
+    ((), 5, 7, 3),
+    ((), 8, 36, 8),  # one toy scene's scores: under the budget
+    ((8,), 8, 36, 8),  # a toy training step's: under
+    ((20,), 8, 36, 8),  # a toy evaluation chunk's: over
+    ((), 32, 32, 32),  # exactly the budget
+    ((), 32, 33, 32),  # just over
+    ((), 1, 9, 1),
+    ((), 1, 100, 1),
+    ((1,), 1, 40, 1),
+    ((4,), 1, 9, 1),
+    ((3,), 1, 40, 1),
+    ((), 6, 9, 1),
+    ((), 1, 9, 6),
+    ((3,), 6, 12, 1),
+    ((3,), 1, 12, 6),
+    ((2, 3), 4, 10, 5),
+    ((0,), 2, 9, 4),
+    ((3,), 0, 9, 4),
+    ((3,), 2, 0, 4),
+    ((), 2, 9, 0),
+]
+
+
+def stack_oracle(a, b):
+    """``matmul_oracle`` on each matrix of a stack."""
+    batch, (m, k), n = a.shape[:-2], a.shape[-2:], b.shape[-1]
+    count = math.prod(batch)
+    out = np.zeros((count, m, n))
+    for s, (x, y) in enumerate(zip(a.reshape(count, m, k), b.reshape(count, k, n))):
+        out[s] = matmul_oracle(x, y)
+    return out.reshape(batch + (m, n))
+
+
+def spread_normals(prng, shape):
+    """Normals scaled by powers of ten from 1e-8 to 1e7, so that the order of
+    a sum shows in its bits."""
+    size = math.prod(shape)
+    scale = 10.0 ** np.floor(prng.uniforms(size) * 16 - 8)
+    return (prng.normals(size) * scale).reshape(shape)
+
+
+def with_specials(prng, x, specials):
+    """A copy of ``x`` with about a fifth of its entries drawn from ``specials``."""
+    out = x.copy()
+    flat = out.reshape(-1)
+    picks = np.flatnonzero(prng.uniforms(flat.size) < 0.2)
+    flat[picks] = np.asarray(specials)[(prng.uniforms(picks.size) * len(specials)).astype(int)]
+    return out
+
+
 class TestMatmul:
     def test_identity(self):
         b = np.array([[3.0, 1.0], [2.0, 4.0]])
@@ -74,21 +128,64 @@ class TestMatmul:
         assert np.array_equal(ops.matmul(a, b), [[3.0], [7.0]])
 
     def test_against_triple_loop_oracle(self):
-        """Ascending-index accumulation must equal the scalar loop bit for bit."""
+        """Ascending-index accumulation must equal the scalar loop bit for bit,
+        with B contiguous or the transposed view the score passes."""
         prng = Prng(100)
         for _ in range(20):
             a = prng.normals(35).reshape(5, 7)
             b = prng.normals(21).reshape(7, 3)
             assert np.array_equal(ops.matmul(a, b), matmul_oracle(a, b))
+        for batch, m, k, n in MATMUL_SHAPES:
+            a = spread_normals(prng, batch + (m, k))
+            b = spread_normals(prng, batch + (k, n))
+            want = stack_oracle(a, b).tobytes()
+            b_view = np.ascontiguousarray(np.swapaxes(b, -1, -2)).swapaxes(-1, -2)
+            assert ops.matmul(a, b).tobytes() == want, (batch, m, k, n)
+            assert ops.matmul(a, b_view).tobytes() == want, (batch, m, k, n)
+        stacked = [
+            k * math.prod(batch) * m * n <= ops._PRODUCT_STACK_VALUES
+            for batch, m, k, n in MATMUL_SHAPES
+            if k >= 9 and math.prod(batch) * m * n > 1
+        ]
+        assert any(stacked) and not all(stacked)  # the shapes take both paths
+
+    def test_inf_and_nan_entries_bytes(self, monkeypatch):
+        """Infinities, overflow and NaN give the oracle's bytes when every NaN
+        is the one that arithmetic makes (inf - inf). A NaN of the other sign
+        in A alone (no product of two NaNs) gives the loop's bytes. A lone
+        1x1 product's running sum overflows to inf and stays there, where a
+        pairwise sum would read NaN."""
+        made_nan = np.inf - np.inf
+        specials = [np.inf, -np.inf, 1e308, -1e308, 0.0, -0.0, made_nan]
+        prng = Prng(103)
+        cases = []
+        for batch, m, k, n in MATMUL_SHAPES:
+            a = with_specials(prng, spread_normals(prng, batch + (m, k)), specials)
+            b = with_specials(prng, spread_normals(prng, batch + (k, n)), specials)
+            a_nan = with_specials(prng, a, [np.nan])
+            b_no_nan = np.where(np.isnan(b), 1.0, b)
+            cases.append(((batch, m, k, n), a, b, a_nan, b_no_nan))
+        overflow = np.array([[1e308, 1e308, -1e308, -1e308] * 2])
+        with np.errstate(all="ignore"):
+            assert ops.matmul(overflow, np.ones((8, 1)))[0, 0] == np.inf
+            assert ops.matmul(overflow[None], np.ones((1, 8, 1)))[0, 0, 0] == np.inf
+            outputs = []
+            for shape, a, b, a_nan, b_no_nan in cases:
+                assert ops.matmul(a, b).tobytes() == stack_oracle(a, b).tobytes(), shape
+                outputs.append(ops.matmul(a_nan, b_no_nan).tobytes())
+            monkeypatch.setattr(ops, "_PRODUCT_STACK_VALUES", 0)  # every shape on the loop
+            for got, (shape, _, _, a_nan, b_no_nan) in zip(outputs, cases):
+                assert got == ops.matmul(a_nan, b_no_nan).tobytes(), shape
 
     def test_stack_equals_each_matrix_alone_bitwise(self):
         prng = Prng(101)
-        a = prng.normals(4 * 5 * 7).reshape(4, 5, 7)
-        b = prng.normals(4 * 7 * 3).reshape(4, 7, 3)
-        stacked = ops.matmul(a, b)
-        for k in range(4):
-            assert stacked[k].tobytes() == ops.matmul(a[k], b[k]).tobytes()
-        assert ops.matmul(np.zeros((0, 2, 3)), np.zeros((0, 3, 4))).shape == (0, 2, 4)
+        for batch, m, k, n in MATMUL_SHAPES:
+            a = spread_normals(prng, batch + (m, k))
+            b = spread_normals(prng, batch + (k, n))
+            stacked = ops.matmul(a, b)
+            assert stacked.shape == batch + (m, n)
+            for s in np.ndindex(batch):
+                assert stacked[s].tobytes() == ops.matmul(a[s], b[s]).tobytes(), (batch, m, k, n)
 
 
 class TestConv1x1:
