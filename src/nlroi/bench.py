@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, ResourceError
+from .errors import InsufficientDataError, ResourceError, require_size
 from .operator import NlRoiConfig, init_params, nlroi_backward, nlroi_forward
 from .rng import Prng
 
@@ -52,8 +52,7 @@ def _time_once(fn) -> float:
 def run_bench(grid, reps: int, seed: int) -> list:
     """Median forward/backward milliseconds for every (n, config) pair of
     ``grid``, in order."""
-    if reps < MIN_REPS:
-        raise ValueError(f"reps must be >= {MIN_REPS}, got {reps}")
+    require_size("reps", reps, MIN_REPS)
     prng = Prng(seed)
     records = []
     for n, config in grid:

@@ -27,7 +27,6 @@ from .errors import (
 from .gradcheck import check_all_gradients, format_report, summary_line
 from .operator import (
     NlRoiConfig,
-    NlRoiParams,
     Scaling,
     _require_finite,
     init_params,
@@ -67,32 +66,7 @@ def _seed(args, cfg: ConfigFile) -> int:
 def _model_from_weights(named: dict, cfg: ConfigFile) -> ToyModel:
     for name, value in named.items():
         _require_finite(value, f"weights tensor {name!r}")
-    spec = cfg.spec
-    if "w_phi" in named:
-        nl_config = cfg.nlroi
-        nl_params = NlRoiParams.from_named(named)
-        head_in = spec.d + nl_config.d_g
-    else:
-        nl_config = None
-        nl_params = None
-        head_in = spec.d
-    try:
-        w_head = named["w_head"]
-        b_head = named["b_head"]
-    except KeyError as exc:
-        raise WeightsFormatError(f"weights file lacks tensor {exc.args[0]!r}") from None
-    if w_head.shape != (spec.k, head_in) or b_head.shape != (spec.k,):
-        raise DimensionError(
-            f"head tensors {w_head.shape}/{b_head.shape} do not fit the "
-            f"configuration (k={spec.k}, pooled width {head_in})"
-        )
-    return ToyModel(
-        spec=spec,
-        nlroi_config=nl_config,
-        nlroi_params=nl_params,
-        w_head=w_head,
-        b_head=b_head,
-    )
+    return ToyModel.from_named(cfg.spec, cfg.nlroi if "w_phi" in named else None, named)
 
 
 def _cmd_gradcheck(args) -> int:
@@ -105,8 +79,6 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = _load_config(args)
-    if args.reps < MIN_REPS:
-        raise ConfigError(f"--reps must be >= {MIN_REPS}, got {args.reps}")
     records = run_bench(DEFAULT_SWEEP, reps=args.reps, seed=_seed(args, cfg))
     if args.out is None:
         emit_csv(records, sys.stdout)
@@ -137,9 +109,8 @@ def _cmd_train(args) -> int:
         seed=_seed(args, cfg),
         log_fn=log,
     )
-    out = args.out if args.out is not None else "weights.bin"
-    save_weights(out, model.tensors())
-    print(f"saved {args.variant} weights to {out}", file=sys.stderr)
+    save_weights(args.out, model.tensors())
+    print(f"saved {args.variant} weights to {args.out}", file=sys.stderr)
     return 0
 
 
@@ -200,9 +171,8 @@ def _cmd_init(args) -> int:
     prng = Prng(_seed(args, cfg))
     nl_config = cfg.nlroi if args.variant == "nlroi" else None
     model = init_model(cfg.spec, nl_config, prng)
-    out = args.out if args.out is not None else "weights.bin"
-    save_weights(out, model.tensors())
-    print(f"saved fresh {args.variant} weights to {out}", file=sys.stderr)
+    save_weights(args.out, model.tensors())
+    print(f"saved fresh {args.variant} weights to {args.out}", file=sys.stderr)
     return 0
 
 
@@ -212,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--seed", type=int, help="PRNG seed (overrides the config file's seed)"
     )
-    common.add_argument("--out", help="output path")
 
     parser = argparse.ArgumentParser(
         prog="nlroi",
@@ -232,10 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
         "seed is read.",
     )
     p.add_argument("--reps", type=int, default=MIN_REPS, help="repetitions per size")
+    p.add_argument("--out", help="write the CSV here instead of stdout")
     p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("train", parents=[common], help="train a toy-task variant")
     p.add_argument("--variant", choices=("baseline", "nlroi"), required=True)
+    p.add_argument("--out", default="weights.bin", help="weights file to write")
     p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("eval", parents=[common], help="evaluate saved weights")
@@ -252,6 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("init", parents=[common], help="write freshly initialized weights")
     p.add_argument("--variant", choices=("baseline", "nlroi"), default="nlroi")
+    p.add_argument("--out", default="weights.bin", help="weights file to write")
     p.set_defaults(fn=_cmd_init)
 
     return parser

@@ -19,6 +19,13 @@ class ConfigError(ValueError):
         self.fields = fields
 
 
+def require_size(name: str, value, least: int) -> None:
+    """Raises ConfigError naming ``name`` unless ``value`` is an integer >=
+    ``least``; a bool is no size."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}", name)
+
+
 class WeightsFormatError(ValueError):
     """A weights file violates the binary format (magic, names, ranks)."""
 

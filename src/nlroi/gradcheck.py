@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import NumericalError, require_size
 from .operator import NlRoiConfig, NlRoiParams, nlroi_backward, nlroi_forward
 from .rng import Prng
 
@@ -124,8 +124,7 @@ def check_all_gradients(config: NlRoiConfig, seed: int, n: int = 4) -> GradRepor
     which exercises every output coordinate with an independent weight.
     The report holds each tensor's worst relative error; R is not kept.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ConfigError(f"n must be an integer >= 1, got {n!r}", "n")
+    require_size("n", n, 1)
     prng = Prng(seed)
     x = prng.normals(n * config.d * config.h * config.w).reshape(
         n, config.d, config.h, config.w

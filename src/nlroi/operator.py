@@ -58,7 +58,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, DegenerateAttentionError, DimensionError, NumericalError
+from .errors import (
+    ConfigError,
+    DegenerateAttentionError,
+    DimensionError,
+    NumericalError,
+    require_size,
+)
 from .rng import Prng
 
 
@@ -82,9 +88,7 @@ class NlRoiConfig:
 
     def __post_init__(self):
         for name in ("d", "d_f", "d_mid", "d_g", "h", "w"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {v!r}", name)
+            require_size(name, getattr(self, name), 1)
         for name in ("d_f", "d_mid"):
             if getattr(self, name) > self.d:
                 raise ConfigError(
@@ -170,7 +174,6 @@ class ForwardCache:
     g: np.ndarray            # (N, D_g) per-RoI embedding matrix G
     attn: list               # per group: row-stochastic weights
     g_pre: np.ndarray        # (N, D_mid, H, W) before the ReLU, call order
-    g_post: np.ndarray       # (N, D_mid, H, W) after the ReLU, call order
 
 
 def init_params(config: NlRoiConfig, prng: Prng) -> NlRoiParams:
@@ -423,7 +426,6 @@ def nlroi_forward(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig, count
         g=g,
         attn=attns,
         g_pre=g_pre,
-        g_post=g_post,
     )
     return out, cache
 
@@ -613,10 +615,12 @@ def nlroi_backward(
         ).reshape(-1, d_g)
 
     # G = pool(conv3x3(relu(conv1x1(x)))); the pooled conv's input gradient
-    # is one product over all rows, so it too runs in canonical order
-    d_g_canon, d_w_g2, d_b_g2 = ops.conv2d_3x3_pooled_vjp(
-        cache.g_post[order], params.w_g2, d_g_canon
-    )
+    # is one product over all rows, so it too runs in canonical order. The
+    # ReLU is redone in place on the gather, in ops.relu's operand order
+    g_post = cache.g_pre[order]
+    np.maximum(0.0, g_post, out=g_post)
+    d_g_canon, d_w_g2, d_b_g2 = ops.conv2d_3x3_pooled_vjp(g_post, params.w_g2, d_g_canon)
+    del g_post  # not held through the stacked 1x1 VJP
     d_g_post = np.empty(d_g_canon.shape)
     d_g_post[order] = d_g_canon
     d_emb[:, 2 * d_f :] = ops.relu_vjp(cache.g_pre, d_g_post)

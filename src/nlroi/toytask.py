@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DimensionError, DivergenceError, require_size
 from .operator import (
     NlRoiConfig,
     NlRoiParams,
@@ -84,11 +84,9 @@ class SceneSpec:
     sigma: float = NOISE_SIGMA
 
     def __post_init__(self):
-        # a scene needs 2 RoIs and classification 2 classes; bool is no size
+        # a scene needs 2 RoIs and classification 2 classes
         for name, least in (("n", 2), ("k", 2), ("d", 1), ("h", 1), ("w", 1)):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < least:
-                raise ConfigError(f"{name} must be an integer >= {least}, got {v!r}", name)
+            require_size(name, getattr(self, name), least)
         if self.k > self.d:
             raise ConfigError(f"k={self.k} classes need k <= d={self.d} channels", "k", "d")
 
@@ -141,6 +139,34 @@ class ToyModel:
     w_head: np.ndarray  # (K, D) or (K, D + D_g)
     b_head: np.ndarray  # (K,)
 
+    @staticmethod
+    def shapes(spec: SceneSpec, nlroi_config: Optional[NlRoiConfig]) -> dict:
+        """Each tensor's shape, the head's and then the operator's, in
+        ``tensors()`` order. The operator reads the scenes' RoIs, so its
+        config must have the spec's D, H and W; ConfigError otherwise."""
+        if nlroi_config is None:
+            return {"w_head": (spec.k, spec.d), "b_head": (spec.k,)}
+        if (nlroi_config.d, nlroi_config.h, nlroi_config.w) != (spec.d, spec.h, spec.w):
+            raise ConfigError(f"operator config {nlroi_config} disagrees with scene spec {spec}")
+        head = {"w_head": (spec.k, spec.d + nlroi_config.d_g), "b_head": (spec.k,)}
+        return head | NlRoiParams.shapes(nlroi_config)
+
+    @classmethod
+    def from_named(
+        cls, spec: SceneSpec, nlroi_config: Optional[NlRoiConfig], named: dict
+    ) -> "ToyModel":
+        """The model whose tensors are ``named``'s arrays themselves (no
+        copy); other names are ignored. A tensor that is missing or does
+        not have its ``shapes`` raises DimensionError naming it."""
+        for name, want in cls.shapes(spec, nlroi_config).items():
+            if name not in named:
+                raise DimensionError(f"missing tensor {name!r}")
+            shape = named[name].shape
+            if shape != want:
+                raise DimensionError(f"{name} has shape {shape}, config implies {want}")
+        params = None if nlroi_config is None else NlRoiParams.from_named(named)
+        return cls(spec, nlroi_config, params, named["w_head"], named["b_head"])
+
     def tensors(self) -> list:
         """Named trainable tensors: the head's, then the operator's."""
         params = [] if self.nlroi_params is None else self.nlroi_params.tensors()
@@ -154,23 +180,11 @@ def init_model(
 ) -> ToyModel:
     """Zero-initialized head (so an untrained model predicts uniformly);
     attention parameters, when present, from init_params."""
-    if nlroi_config is None:
-        head_in = spec.d
-        params = None
-    else:
-        if nlroi_config.d != spec.d or nlroi_config.h != spec.h or nlroi_config.w != spec.w:
-            raise ConfigError(
-                f"operator config {nlroi_config} disagrees with scene spec {spec}"
-            )
-        head_in = spec.d + nlroi_config.d_g
-        params = init_params(nlroi_config, prng)
-    return ToyModel(
-        spec=spec,
-        nlroi_config=nlroi_config,
-        nlroi_params=params,
-        w_head=np.zeros((spec.k, head_in)),
-        b_head=np.zeros(spec.k),
-    )
+    shapes = ToyModel.shapes(spec, nlroi_config)
+    named = {name: np.zeros(shapes[name]) for name in ("w_head", "b_head")}
+    if nlroi_config is not None:
+        named.update(init_params(nlroi_config, prng).tensors())
+    return ToyModel.from_named(spec, nlroi_config, named)
 
 
 def _head_inputs(model: ToyModel, prng: Prng, scenes: int):
@@ -229,9 +243,7 @@ class Hyper:
             if not math.isfinite(v) or v < 0.0:
                 raise ConfigError(f"{name} must be a finite value >= 0, got {v!r}", name)
         for name, least in (("steps", 0), ("scenes_per_step", 1)):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < least:
-                raise ConfigError(f"{name} must be an integer >= {least}, got {v!r}", name)
+            require_size(name, getattr(self, name), least)
 
 
 def train(
@@ -273,9 +285,7 @@ def train(
     for name, p in named:
         views[name] = flat[offset : offset + p.size].reshape(p.shape)
         offset += p.size
-    model.w_head, model.b_head = views["w_head"], views["b_head"]
-    if model.nlroi_params is not None:
-        model.nlroi_params = NlRoiParams.from_named(views)
+    model = ToyModel.from_named(spec, nlroi_config, views)
     velocity = np.zeros_like(flat)
 
     losses = []
@@ -313,8 +323,7 @@ def evaluate(model: ToyModel, scenes: int, seed: int) -> float:
     docstring), so a larger budget only shares each call's fixed cost over
     more scenes.
     """
-    if not isinstance(scenes, int) or isinstance(scenes, bool) or scenes < 1:
-        raise ConfigError(f"scenes must be an integer >= 1, got {scenes!r}", "scenes")
+    require_size("scenes", scenes, 1)
     spec = model.spec
     chunk = max(1, _EVAL_BUDGET // (spec.n * spec.d * spec.h * spec.w))
     prng = Prng((seed ^ _EVAL_SEED_SALT) & _MASK64)

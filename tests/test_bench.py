@@ -14,7 +14,7 @@ from nlroi.bench import (
     fit_scaling_exponent,
     run_bench,
 )
-from nlroi.errors import InsufficientDataError
+from nlroi.errors import ConfigError, InsufficientDataError
 from nlroi.operator import NlRoiConfig
 
 SWEEP_OP = NlRoiConfig(d=8, d_f=4, d_mid=4, d_g=4, h=4, w=4)
@@ -69,6 +69,12 @@ class TestRunBench:
     def test_rejects_thin_sampling(self):
         with pytest.raises(ValueError):
             run_bench(self.SMALL, reps=4, seed=0)
+
+    @pytest.mark.parametrize("reps", [4, 0, True, 5.0])
+    def test_reps_rule_names_reps(self, reps):
+        with pytest.raises(ConfigError, match="reps must be an integer >= 5") as err:
+            run_bench(self.SMALL, reps=reps, seed=0)
+        assert err.value.fields == ("reps",)
 
     def test_records_match_grid(self):
         recs = run_bench(self.SMALL, reps=5, seed=0)

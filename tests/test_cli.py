@@ -233,8 +233,22 @@ class TestTrainEval:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["w_head", "b_head"])
+    def test_eval_names_a_missing_head_tensor(self, tmp_path, capsys, fast_config, name):
+        weights = tmp_path / "w.bin"
+        assert main(["init", "--config", fast_config, "--out", str(weights)]) == 0
+        named = load_weights(weights)
+        del named[name]
+        save_weights(weights, named)
+        capsys.readouterr()
+        rc = main(["eval", "--weights", str(weights), "--config", fast_config, "--scenes", "20"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: missing tensor {name!r}")
+
     def test_eval_rejects_mismatched_operator_tensor(self, tmp_path, capsys, fast_config):
-        """The operator's entry checks a weights file's tensors against the
+        """Building the model checks a weights file's tensors against the
         configuration and names the one that does not fit."""
         weights = tmp_path / "w.bin"
         assert main(["init", "--config", fast_config, "--out", str(weights)]) == 0
@@ -269,6 +283,15 @@ class TestTrainEval:
 
 
 class TestInitCommand:
+    def test_train_and_init_write_weights_bin_by_default(self, tmp_path, capsys, monkeypatch,
+                                                          fast_config):
+        monkeypatch.chdir(tmp_path)
+        for argv in (["init"], ["train", "--variant", "baseline"]):
+            assert main(argv + ["--config", fast_config]) == 0
+            assert load_weights(tmp_path / "weights.bin")
+            (tmp_path / "weights.bin").unlink()
+        assert "to weights.bin" in capsys.readouterr().err
+
     def test_writes_loadable_weights(self, tmp_path, capsys, fast_config):
         out = tmp_path / "fresh.bin"
         rc = main(["init", "--config", fast_config, "--seed", "2", "--out", str(out)])
@@ -320,6 +343,12 @@ class TestErrorPaths:
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["gradcheck", "--frobnicate"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["eval", "gradcheck", "oracle-diff"])
+    def test_out_on_a_command_that_writes_nothing_exits_two(self, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", "x"])
         assert exc.value.code == 2
 
     def test_no_subcommand_exits_two(self):

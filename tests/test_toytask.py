@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from nlroi import ops, toytask
-from nlroi.errors import ConfigError, DivergenceError
+from nlroi.errors import ConfigError, DimensionError, DivergenceError
 from nlroi.operator import NlRoiConfig, nlroi_backward, nlroi_forward
 from nlroi.rng import Prng
 from nlroi.toytask import (
     Hyper,
     Scene,
     SceneSpec,
+    ToyModel,
     _cross_entropy,
     _draw_scenes,
     _head_inputs,
@@ -347,6 +348,14 @@ class TestFlatUpdate:
         for (name, got), (_, want) in zip(model.tensors(), ref_model.tensors()):
             assert got.tobytes() == want.tobytes(), name
 
+    @pytest.mark.parametrize("variant", ["nlroi", "baseline"])
+    def test_trained_tensors_view_one_buffer(self, variant):
+        model, _ = train(variant, SPEC, OP, Hyper(steps=1), seed=3)
+        tensors = [t for _, t in model.tensors()]
+        flat = tensors[0].base
+        assert flat.ndim == 1 and flat.size == sum(t.size for t in tensors)
+        assert all(t.base is flat for t in tensors)
+
 
 class TestBlockDrawnSteps:
     """Training and evaluation are bit for bit what one scene draw each gave."""
@@ -485,6 +494,23 @@ class TestModel:
     def test_operator_scene_shape_mismatch(self):
         with pytest.raises(ConfigError):
             init_model(SPEC, NlRoiConfig(d=8, d_f=4, d_mid=4, d_g=4, h=3, w=3), Prng(75))
+
+    @pytest.mark.parametrize("config", [None, OP])
+    def test_from_named_takes_the_arrays_themselves(self, config):
+        named = dict(init_model(SPEC, config, Prng(76)).tensors())
+        model = ToyModel.from_named(SPEC, config, named | {"b_psi": np.zeros(4)})
+        assert [n for n, _ in model.tensors()] == list(ToyModel.shapes(SPEC, config))
+        for name, tensor in model.tensors():
+            assert tensor is named[name], name
+
+    @pytest.mark.parametrize("name", list(ToyModel.shapes(SPEC, OP)))
+    def test_from_named_names_a_missing_or_misshapen_tensor(self, name):
+        named = dict(init_model(SPEC, OP, Prng(77)).tensors())
+        with pytest.raises(DimensionError, match=f"missing tensor '{name}'"):
+            ToyModel.from_named(SPEC, OP, {k: v for k, v in named.items() if k != name})
+        named[name] = named[name][..., :-1]
+        with pytest.raises(DimensionError, match=f"^{name} has shape"):
+            ToyModel.from_named(SPEC, OP, named)
 
 
 class TestTrain:
