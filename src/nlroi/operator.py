@@ -296,20 +296,23 @@ def _canonical_order(groups: tuple, *blobs):
     for row, images, rois in groups:
         end = row + images * rois
         block = np.lexsort([k[row:end].reshape(images, rois) for k in reversed(keys)], axis=-1)
-        block += row + rois * np.arange(images)[:, None]
-        order[row:end] = block.reshape(-1)
-        ranked = order[row:end]
+        # each image's first call row, in one step (empty images: empty block)
+        if images > 1 and rois:
+            block += np.arange(row, end, rois)[:, None]
+        elif row:
+            block += row
+        ranked = order[row:end] = block.reshape(-1)
         first = lead[ranked]
         same = first[1:] == first[:-1]
-        # an image's first RoI has no left neighbour (a group of empty
-        # images has nothing to compare)
+        # an image's first RoI has no left neighbour
         same[rois - 1 :: max(rois, 1)] = False
         # twins: neighbours with equal first elements, then equal bytes in
         # every blob (gathering every neighbour's bytes would copy the blobs)
         (k,) = np.nonzero(same)
-        for key in keys:
-            same[k] &= key[ranked[k + 1]] == key[ranked[k]]
-        twins.append(_repeats(same))
+        if k.size:
+            for key in keys:
+                same[k] &= key[ranked[k + 1]] == key[ranked[k]]
+        twins.append(_repeats(same) if k.size else None)
     return order, tuple(twins)
 
 
@@ -383,7 +386,7 @@ def nlroi_forward(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig, count
     groups = _groups(counts)
     order, twins = _canonical_order(groups, x)
     phi = _flat_embed(x, params.w_phi, params.b_phi)[order]
-    psi = _flat_embed(x, params.w_psi, np.zeros(config.d_f))[order]
+    psi = _flat_embed(x, params.w_psi, None)[order]
     g_pre = ops.conv2d_1x1(x, params.w_g1, params.b_g1)
     g_post = ops.relu(g_pre)
     g = ops.conv2d_3x3_pooled(g_post, params.w_g2, params.b_g2)
@@ -414,7 +417,7 @@ def nlroi_forward(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig, count
         y_vec[order[row : row + images * rois]] = mixed
         attns.append(attn)
         image += images
-    out = ops.concat_channels(x, ops.tile_spatial(y_vec, config.h, config.w))
+    out = ops.concat_channels(x, y_vec[:, :, None, None])
     cache = ForwardCache(
         config=config,
         x=x,

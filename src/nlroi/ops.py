@@ -54,7 +54,8 @@ axis:
 
 All operations are deterministic run to run on one machine with one
 NumPy/BLAS build. The VJPs contract with BLAS (``@``; the softmax VJP's
-row dot too, one BLAS dot per row) and sum with NumPy reductions. Sums
+row dot too, one BLAS dot per row) and sum with ``ufunc.reduce`` (the
+bits of ``np.sum`` and ``np.max``, without their Python wrappers). Sums
 over RoIs (the weight and bias gradients) take the RoIs in the order
 given, so reordering the RoIs can change their last bits: a BLAS
 reduction's order depends on the operands' sizes and on where an element
@@ -128,17 +129,19 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def conv2d_1x1(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+def conv2d_1x1(x: np.ndarray, w: np.ndarray, b) -> np.ndarray:
     """Pointwise convolution: out[n,o,h,w] = b[o] + sum_c W[o,c] * X[n,c,h,w].
 
     One GEMM per RoI, W @ X[n] over the flattened positions, then the bias.
     Every RoI gets an identical BLAS call, so its output bits do not depend
-    on where it sits in the batch.
+    on where it sits in the batch. ``b`` None means no bias, which gives
+    the bits of a zero bias: BLAS's sums start from +0.0, so none is -0.0.
     """
     n, cin, h, wd = x.shape
     cout = w.shape[0]
     out = w @ x.reshape(n, cin, h * wd)
-    out += b[:, None]
+    if b is not None:
+        out += b[:, None]
     return out.reshape(n, cout, h, wd)
 
 
@@ -165,7 +168,7 @@ def conv2d_1x1_vjp(x: np.ndarray, w: np.ndarray, d_out: np.ndarray):
     dw = _weight_grad(g[:step], xs[:step])  # zeros when there are no RoIs
     for a in range(step, n, step):
         dw += _weight_grad(g[a : a + step], xs[a : a + step])
-    db = np.sum(d_out, axis=(0, 2, 3))
+    db = np.add.reduce(d_out, axis=(0, 2, 3))
     return dx, dw, db
 
 
@@ -212,7 +215,7 @@ def conv2d_3x3_pooled_vjp(x: np.ndarray, w: np.ndarray, d_out: np.ndarray):
     dx = (d_out @ k).reshape(x.shape)
     d_k = (d_out.T @ x.reshape(n, cin * h * wd)).reshape(cout * cin, h * wd)
     dw = (d_k @ _tap_reads(h, wd).T).reshape(w.shape) / (h * wd)
-    return dx, dw, d_out.sum(axis=0)
+    return dx, dw, np.add.reduce(d_out, axis=0)
 
 
 def softmax_rows(s: np.ndarray, mask_diagonal=False, first_row=0) -> np.ndarray:
@@ -235,9 +238,9 @@ def softmax_rows(s: np.ndarray, mask_diagonal=False, first_row=0) -> np.ndarray:
         rows = np.arange(s.shape[-2])
         s[..., rows, first_row + rows] = -np.inf
     if s.size:
-        s -= np.max(s, axis=-1, keepdims=True)
+        s -= np.maximum.reduce(s, axis=-1, keepdims=True)
         np.exp(s, out=s)
-        s /= np.sum(s, axis=-1, keepdims=True)
+        s /= np.add.reduce(s, axis=-1, keepdims=True)
     return s
 
 
@@ -273,12 +276,17 @@ def tile_spatial(v: np.ndarray, h: int, w: int) -> np.ndarray:
 
 def tile_spatial_vjp(d_out: np.ndarray) -> np.ndarray:
     n, c, h, w = d_out.shape
-    return d_out.reshape(n, c, h * w).sum(axis=-1)
+    return np.add.reduce(d_out.reshape(n, c, h * w), axis=-1)
 
 
 def concat_channels(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Append T's channels after X's: (N,D,H,W) + (N,Dg,H,W) -> (N,D+Dg,H,W)."""
-    return np.concatenate([x, t], axis=1)
+    """Append T's channels after X's: (N,D,H,W) + (N,Dg,H,W) -> (N,D+Dg,H,W).
+    A T of (N,Dg,1,1) is broadcast over H x W, as ``tile_spatial`` would."""
+    d = x.shape[1]
+    out = np.empty((x.shape[0], d + t.shape[1]) + x.shape[2:])
+    out[:, :d] = x
+    out[:, d:] = t
+    return out
 
 
 def concat_channels_vjp(x: np.ndarray, d_out: np.ndarray):

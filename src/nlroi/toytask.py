@@ -217,15 +217,19 @@ def head_logits(model: ToyModel, pooled: np.ndarray) -> np.ndarray:
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray, counts):
     """Sum over scenes of each scene's mean CE, and its gradient w.r.t. the
     logits; ``counts`` gives the rows of each scene, in order."""
-    n = logits.shape[0]
+    n, k = logits.shape
     rows_per_scene = np.repeat(np.asarray(counts, dtype=np.float64), counts)
-    shifted = logits - np.max(logits, axis=1, keepdims=True)
+    top = logits[:, 0]
+    for c in range(1, k):  # a max is exact: np.max(axis=1)'s bits, column-wise
+        top = np.maximum(top, logits[:, c])
+    shifted = logits - top[:, None]
     e = np.exp(shifted)
     total = np.sum(e, axis=1, keepdims=True)
-    picked = shifted[np.arange(n), labels]
+    picks = np.arange(0, n * k, k) + labels  # each row's label, flat
+    picked = shifted.reshape(-1)[picks]
     loss = float(np.sum((np.log(total[:, 0]) - picked) / rows_per_scene))
     d_logits = e / total
-    d_logits[np.arange(n), labels] -= 1.0
+    d_logits.reshape(-1)[picks] -= 1.0
     return loss, d_logits / rows_per_scene[:, None]
 
 

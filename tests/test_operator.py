@@ -556,6 +556,24 @@ class TestMultiImage:
             for (name, got), (_, want) in zip(dparams.tensors(), summed.tensors()):
                 assert float(np.max(np.abs(got - want))) < 1e-12 * scale, name
 
+    def test_runs_of_empty_images(self):
+        """Two or more images with no RoIs in one group, first, between or
+        last: each image's output is its one-image call's, and the backward
+        runs and matches the one-image backwards."""
+        for seed, counts in enumerate(((3, 0, 0, 4), (0, 0, 7), (7, 0, 0, 0))):
+            for attend in (True, False):
+                cfg = small_config(attend_to_self=attend)
+                x, params = random_case(140 + seed, sum(counts), cfg)
+                out, cache = nlroi_forward(x, params, cfg, counts=counts)
+                assert any(images > 1 and rois == 0 for _, images, rois in cache.groups)
+                up = Prng(150 + seed).normals(out.size).reshape(out.shape)
+                dx, _ = nlroi_backward(cache, params, cfg, up)
+                for rows in split_rows(counts):
+                    alone, cache_alone = nlroi_forward(x[rows], params, cfg)
+                    assert out[rows].tobytes() == alone.tobytes()
+                    dx_alone, _ = nlroi_backward(cache_alone, params, cfg, up[rows])
+                    assert scaled_err(dx[rows], dx_alone) < 1e-12
+
     def test_finite_differences_through_multi_image_call(self):
         cfg = NlRoiConfig(d=6, d_f=3, d_mid=3, d_g=4, h=2, w=2, attend_to_self=False)
         counts = (2, 0, 3, 2)
@@ -778,6 +796,25 @@ class TestCanonicalOrder:
         prng = Prng(90)
         picks = [prng.randint(120) for _ in range(300)]
         self.check(twin_blob(cfg, 91, picks), params, cfg, seed=92)
+
+    def test_near_twins(self):
+        """RoIs that share their first element and differ later, within one
+        image and across the two images of one group: none is a twin, and
+        the forward matches the oracle."""
+        counts = (5, 5, 4)
+        for attend in (True, False):
+            cfg = small_config(attend_to_self=attend)
+            x, params = random_case(96, sum(counts), cfg)
+            # every row of the first group's two images, and two of the second
+            x[1:10, 0, 0, 0] = x[0, 0, 0, 0]
+            x[11, 0, 0, 0] = x[10, 0, 0, 0]
+            # equal in all but the last element
+            x[3] = x[4]
+            x[3, -1, -1, -1] += 1.0
+            out, cache = self.check(x, params, cfg, counts=counts, seed=97)
+            assert cache.twins == (None, None)
+            ref = [nlroi_reference(x[rows], params, cfg) for rows in split_rows(counts)]
+            assert np.max(np.abs(out - np.concatenate(ref))) < 1e-9
 
     def test_signed_zero_pair(self):
         for attend in (True, False):

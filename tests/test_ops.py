@@ -213,6 +213,17 @@ class TestConv1x1:
         alone = np.concatenate([ops.conv2d_1x1(x[i : i + 1], w, b) for i in range(37)])
         assert np.array_equal(ops.conv2d_1x1(x, w, b), alone)
 
+    def test_no_bias_gives_the_bytes_of_a_zero_bias(self):
+        prng = Prng(13)
+        for n, cin, cout, h, w in ((8, 16, 4, 3, 3), (5, 64, 16, 7, 7), (0, 3, 2, 2, 2)):
+            x = prng.normals(n * cin * h * w).reshape(n, cin, h, w)
+            wt = prng.normals(cout * cin).reshape(cout, cin)
+            # zero weights meet negative inputs: every product is -0.0
+            wt[0] = 0.0
+            x[:, :, 0, 0] = -np.abs(x[:, :, 0, 0])
+            want = ops.conv2d_1x1(x, wt, np.zeros(cout))
+            assert ops.conv2d_1x1(x, wt, None).tobytes() == want.tobytes()
+
 
 class TestConv3x3Pooled:
     def test_center_only_kernel_gives_channel_means(self):
@@ -372,6 +383,16 @@ class TestSmallOps:
         x = Prng(10).normals(2 * 3 * 2 * 2).reshape(2, 3, 2, 2)
         assert np.array_equal(ops.concat_channels(x, np.zeros((2, 0, 2, 2))), x)
         assert np.array_equal(ops.concat_channels(np.zeros((2, 0, 2, 2)), x), x)
+
+    def test_concat_broadcasts_a_unit_extent_bitwise(self):
+        prng = Prng(15)
+        for n, d, c, h, w in ((8, 16, 4, 3, 3), (3, 2, 5, 1, 4), (2, 3, 0, 2, 2),
+                              (2, 0, 3, 2, 2), (0, 16, 4, 3, 3)):
+            x = prng.normals(n * d * h * w).reshape(n, d, h, w)
+            v = prng.normals(n * c).reshape(n, c)
+            want = np.concatenate([x, ops.tile_spatial(v, h, w)], axis=1)
+            got = ops.concat_channels(x, v[:, :, None, None])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_concat_prefix_restriction(self):
         prng = Prng(11)

@@ -334,6 +334,26 @@ def train_per_tensor(variant, hyper, seed):
     return model, losses
 
 
+@pytest.mark.parametrize("n, k", [(64, 4), (8192, 4), (63, 9), (8, 2)])
+def test_cross_entropy_matches_per_row_reductions_bitwise(n, k):
+    """The column-wise max and the flat label index give the bits of the
+    per-row formulation."""
+    prng = Prng(n + k)
+    logits = 4.0 * prng.normals(n * k).reshape(n, k)
+    labels = np.array([prng.randint(k) for _ in range(n)])
+    counts = [n // 2, n - n // 2]
+    shifted = logits - np.max(logits, axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = np.sum(e, axis=1, keepdims=True)
+    rows_per_scene = np.repeat(np.asarray(counts, dtype=np.float64), counts)
+    want_loss = float(np.sum((np.log(total[:, 0]) - shifted[np.arange(n), labels]) / rows_per_scene))
+    want = e / total
+    want[np.arange(n), labels] -= 1.0
+    loss, d_logits = _cross_entropy(logits, labels, counts)
+    assert loss == want_loss
+    assert d_logits.tobytes() == (want / rows_per_scene[:, None]).tobytes()
+
+
 class TestFlatUpdate:
     """SGD over one flat buffer gives the per-tensor update's bytes."""
 
