@@ -23,6 +23,7 @@ from .errors import (
     NumericalError,
     ResourceError,
     WeightsFormatError,
+    require_size,
 )
 from .gradcheck import check_all_gradients, format_report, summary_line
 from .operator import (
@@ -147,8 +148,7 @@ def _cmd_oracle_diff(args) -> int:
     import numpy as np
 
     cfg = _load_config(args)
-    if args.count < 1:
-        raise ConfigError(f"--count must be >= 1, got {args.count}")
+    require_size("count", args.count, 1)
     prng = Prng(_seed(args, cfg))
     worst, where = 0.0, None
     for i in range(args.count):

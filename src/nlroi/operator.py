@@ -134,15 +134,6 @@ class NlRoiParams:
         """Named tensors in field (PRNG-consumption) order."""
         return [(name, getattr(self, name)) for name in _PARAM_NAMES]
 
-    @classmethod
-    def from_named(cls, named: dict) -> "NlRoiParams":
-        """The operator's tensors from a name -> array mapping; other names (a
-        head's tensors, an old file's b_psi) are ignored."""
-        missing = [n for n in _PARAM_NAMES if n not in named]
-        if missing:
-            raise DimensionError(f"missing parameter tensors: {missing}")
-        return cls(**{n: named[n] for n in _PARAM_NAMES})
-
 
 # the field names, read once: dataclasses.fields is slow to call per pass
 _PARAM_NAMES = tuple(f.name for f in fields(NlRoiParams))
@@ -160,11 +151,13 @@ class ForwardCache:
     at ``row``, entry (k, j) of image i's stack is the weight that call row
     ``order[row + i*n + k]`` gives to call row ``order[row + i*n + j]``; the
     diagonal holds each RoI's self-weight. ``attn`` is the only N x N array
-    the cache keeps. ``config`` is the forward's, which the backward must
-    be given too.
+    the cache keeps. ``config`` and ``params`` are the forward's checked
+    ones (``_check_params`` copies no C-contiguous float64 tensor): the
+    backward differentiates them and must be given equal ones.
     """
 
     config: NlRoiConfig
+    params: NlRoiParams
     x: np.ndarray            # (N, D, H, W) input blob
     groups: tuple            # (first row, images, RoIs per image) per run of equal counts
     order: np.ndarray        # (N,) call row of each canonical row
@@ -420,6 +413,7 @@ def nlroi_forward(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig, count
     out = ops.concat_channels(x, y_vec[:, :, None, None])
     cache = ForwardCache(
         config=config,
+        params=params,
         x=x,
         groups=groups,
         order=order,
@@ -562,27 +556,32 @@ def nlroi_backward(
 ):
     """Exact reverse-mode gradients. Returns (dX, NlRoiParams of gradients).
 
-    ``config`` must equal the forward's, which the cache records: the
-    cached activations fit no other, so a different config raises
-    ConfigError.
+    ``config`` and ``params`` must equal the forward's, which the cache
+    records: the cached activations fit no others. A different config
+    raises ConfigError, and so does the first parameter tensor, in
+    ``NlRoiParams`` order, that is neither the forward's own array nor
+    ``np.array_equal`` to it. The backward differentiates the cache's
+    tensors, so the layout and dtype of ``params`` do not change a bit.
 
-    The parameters are converted and checked as ``nlroi_forward`` does, so
-    their layout and dtype do not change a bit. dX is the concat
-    pass-through plus one stacked 1x1 VJP: phi, psi and g1 read the same x,
-    so their upstreams share one buffer and one call gives their dX as one
-    product per RoI. The mix, softmax and score VJPs run per group of the
-    cache in the forward's canonical order, on blocks of each image's rows
-    (``_group_vjp``), and so does the pooled 3x3 conv's VJP; their results
-    go back to call order once per tensor. A non-finite ``d_out`` raises
-    NumericalError. When the forward found twins, ``_canonical_order``
-    sorts again by x and then by ``d_out``, which puts each run of twins in
-    an order of its own, and twins whose upstream rows are equal too get
-    the dX of the first of them. Parameter gradients are summed over every
-    image of the call.
+    dX is the concat pass-through plus one stacked 1x1 VJP: phi, psi and
+    g1 read the same x, so their upstreams share one buffer and one call
+    gives their dX as one product per RoI. The mix, softmax and score VJPs
+    run per group of the cache in the forward's canonical order, on blocks
+    of each image's rows (``_group_vjp``), and so does the pooled 3x3
+    conv's VJP; their results go back to call order once per tensor. A
+    non-finite ``d_out`` raises NumericalError. When the forward found
+    twins, ``_canonical_order`` sorts again by x and then by ``d_out``,
+    which puts each run of twins in an order of its own, and twins whose
+    upstream rows are equal too get the dX of the first of them. Parameter
+    gradients are summed over every image of the call.
     """
     if config is not cache.config and config != cache.config:
         raise ConfigError(f"backward config {config} differs from the forward's {cache.config}")
-    params = _check_params(params, config)
+    for name, t in cache.params.tensors():
+        given = getattr(params, name)
+        if given is not t and not np.array_equal(given, t):
+            raise ConfigError(f"backward parameter {name} differs from the forward's", name)
+    params = cache.params
     x = cache.x
     n = x.shape[0]
     d, d_f, d_g = config.d, config.d_f, config.d_g

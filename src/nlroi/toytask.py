@@ -81,7 +81,6 @@ class SceneSpec:
     d: int
     h: int
     w: int
-    sigma: float = NOISE_SIGMA
 
     def __post_init__(self):
         # a scene needs 2 RoIs and classification 2 classes
@@ -114,7 +113,7 @@ def _draw_scenes(prng: Prng, spec: SceneSpec, count: int):
     latent[~member] = (r + (r >= majority[:, None])).reshape(-1)
     latent = latent.reshape(-1)
     noise = uniforms_to_normals(raw_to_uniforms(block[:, n + 1 :]))
-    rows = spec.sigma * noise.reshape(count * n, d)
+    rows = NOISE_SIGMA * noise.reshape(count * n, d)
     rows[np.arange(count * n), latent] += 1.0
     return rows, latent, np.repeat(majority, n)
 
@@ -164,7 +163,9 @@ class ToyModel:
             shape = named[name].shape
             if shape != want:
                 raise DimensionError(f"{name} has shape {shape}, config implies {want}")
-        params = None if nlroi_config is None else NlRoiParams.from_named(named)
+        params = None
+        if nlroi_config is not None:
+            params = NlRoiParams(**{n: named[n] for n in NlRoiParams.shapes(nlroi_config)})
         return cls(spec, nlroi_config, params, named["w_head"], named["b_head"])
 
     def tensors(self) -> list:
@@ -193,18 +194,18 @@ def _head_inputs(model: ToyModel, prng: Prng, scenes: int):
     The nlroi variant replicates the rows over H x W once and runs all the
     scenes' RoIs through one operator forward, one image per scene; its
     output is spatially constant, so position (0, 0) is the pooled row. The
-    baseline uses the rows themselves. Returns (pooled rows, labels, RoIs
-    per scene, operator cache or None).
+    baseline uses the rows themselves. Returns (pooled rows, labels,
+    operator cache or None).
     """
     spec = model.spec
     rows, _, labels = _draw_scenes(prng, spec, scenes)
     counts = [spec.n] * scenes
     if model.nlroi_config is None:
-        return rows, labels, counts, None
+        return rows, labels, None
     feats, cache = nlroi_forward(
         ops.tile_spatial(rows, spec.h, spec.w), model.nlroi_params, model.nlroi_config, counts
     )
-    return feats[:, :, 0, 0], labels, counts, cache
+    return feats[:, :, 0, 0], labels, cache
 
 
 def head_logits(model: ToyModel, pooled: np.ndarray) -> np.ndarray:
@@ -214,11 +215,10 @@ def head_logits(model: ToyModel, pooled: np.ndarray) -> np.ndarray:
     return (pooled[:, None, :] @ model.w_head.T)[:, 0] + model.b_head
 
 
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray, counts):
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray, rois: int):
     """Sum over scenes of each scene's mean CE, and its gradient w.r.t. the
-    logits; ``counts`` gives the rows of each scene, in order."""
+    logits; every scene is ``rois`` consecutive rows."""
     n, k = logits.shape
-    rows_per_scene = np.repeat(np.asarray(counts, dtype=np.float64), counts)
     top = logits[:, 0]
     for c in range(1, k):  # a max is exact: np.max(axis=1)'s bits, column-wise
         top = np.maximum(top, logits[:, c])
@@ -227,10 +227,10 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray, counts):
     total = np.sum(e, axis=1, keepdims=True)
     picks = np.arange(0, n * k, k) + labels  # each row's label, flat
     picked = shifted.reshape(-1)[picks]
-    loss = float(np.sum((np.log(total[:, 0]) - picked) / rows_per_scene))
+    loss = float(np.sum((np.log(total[:, 0]) - picked) / rois))
     d_logits = e / total
     d_logits.reshape(-1)[picks] -= 1.0
-    return loss, d_logits / rows_per_scene[:, None]
+    return loss, d_logits / rois
 
 
 @dataclass
@@ -294,8 +294,8 @@ def train(
 
     losses = []
     for step in range(1, hyper.steps + 1):
-        pooled, labels, counts, cache = _head_inputs(model, prng, hyper.scenes_per_step)
-        loss, d_logits = _cross_entropy(head_logits(model, pooled), labels, counts)
+        pooled, labels, cache = _head_inputs(model, prng, hyper.scenes_per_step)
+        loss, d_logits = _cross_entropy(head_logits(model, pooled), labels, spec.n)
         step_loss = loss / hyper.scenes_per_step
         losses.append(step_loss)
         # before the backward, which rejects the non-finite upstream a
@@ -334,7 +334,7 @@ def evaluate(model: ToyModel, scenes: int, seed: int) -> float:
     correct = 0
     total = 0
     for start in range(0, scenes, chunk):
-        pooled, labels, _, _ = _head_inputs(model, prng, min(chunk, scenes - start))
+        pooled, labels, _ = _head_inputs(model, prng, min(chunk, scenes - start))
         preds = np.argmax(head_logits(model, pooled), axis=1)
         correct += int(np.sum(preds == labels))
         total += labels.size

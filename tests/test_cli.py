@@ -73,7 +73,7 @@ class TestOracleDiffCommand:
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
-        assert captured.err.startswith("error: --count must be >= 1")
+        assert captured.err.startswith("error: count must be an integer >= 1")
 
     def test_worst_case_named_on_stderr(self, capsys):
         from nlroi.cli import _random_oracle_case

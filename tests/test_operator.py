@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nlroi import ops
+from nlroi import operator, ops
 from nlroi.errors import (
     ConfigError,
     DegenerateAttentionError,
@@ -923,19 +923,6 @@ class TestMemory:
 
 
 class TestParamsContainer:
-    def test_named_round_trip(self):
-        p = init_params(small_config(), Prng(50))
-        q = NlRoiParams.from_named(dict(p.tensors()))
-        for (_, a), (_, b) in zip(p.tensors(), q.tensors()):
-            assert np.array_equal(a, b)
-
-    def test_from_named_missing_tensor(self):
-        p = init_params(small_config(), Prng(51))
-        named = dict(p.tensors())
-        del named["w_g2"]
-        with pytest.raises(DimensionError):
-            NlRoiParams.from_named(named)
-
     def test_fields_follow_the_declared_shapes(self):
         cfg = small_config()
         p = init_params(cfg, Prng(53))
@@ -950,9 +937,10 @@ class TestParamsContainer:
 
 
 class TestParamsAtEntry:
-    """``nlroi_forward`` and ``nlroi_backward`` check the parameters against
-    the config and hand the ops C-contiguous float64 tensors; the ops check
-    nothing."""
+    """``nlroi_forward`` checks the parameters against the config and hands
+    the ops C-contiguous float64 tensors, which the cache keeps for the
+    backward; the ops check nothing, and ``nlroi_backward`` only checks that
+    its parameters are the forward's."""
 
     @pytest.mark.parametrize("name", list(NlRoiParams.shapes(small_config())))
     def test_wrong_shape_names_the_tensor(self, name):
@@ -1006,5 +994,49 @@ class TestParamsAtEntry:
         x, params = random_case(60, 4, cfg)
         out, cache = nlroi_forward(x, params, cfg)
         params.w_g1 = np.zeros((6, 8))
-        with pytest.raises(DimensionError, match=r"^w_g1 has shape \(6, 8\), config implies \(4, 8\)"):
+        with pytest.raises(ConfigError, match=r"^backward parameter w_g1 differs from the forward's$"):
             nlroi_backward(cache, params, cfg, np.ones_like(out))
+
+    @pytest.mark.parametrize("counts", [None, (3, 0, 5)])
+    def test_backward_rejects_params_other_than_the_forwards(self, counts):
+        """Same-shape params of another draw would give the gradients of
+        another operator (dX off by up to 10.27 at one image): the backward
+        names the first tensor that differs, in NlRoiParams order."""
+        cfg = NlRoiConfig(d=16, d_f=4, d_mid=4, d_g=4, h=3, w=3)
+        params, other = init_params(cfg, Prng(0)), init_params(cfg, Prng(1))
+        x = Prng(2).normals(8 * 16 * 3 * 3).reshape(8, 16, 3, 3)
+        out, cache = nlroi_forward(x, params, cfg, counts)
+        up = Prng(3).normals(out.size).reshape(out.shape)
+        with pytest.raises(ConfigError, match=r"^backward parameter w_phi differs") as info:
+            nlroi_backward(cache, other, cfg, up)
+        assert info.value.fields == ("w_phi",)
+        # a later tensor, off by one ulp in one entry
+        nudged = NlRoiParams(**{n: t.copy() for n, t in params.tensors()})
+        nudged.w_g2[1, 2, 0, 1] = np.nextafter(nudged.w_g2[1, 2, 0, 1], np.inf)
+        with pytest.raises(ConfigError, match=r"^backward parameter w_g2 differs"):
+            nlroi_backward(cache, nudged, cfg, up)
+
+    def test_params_are_converted_once_per_pair(self, monkeypatch):
+        """The forward converts the parameters; the backward differentiates
+        the cache's tensors and converts nothing, whatever it is given."""
+        calls = []
+        check = operator._check_params
+
+        def counted(params, config):
+            calls.append(config)
+            return check(params, config)
+
+        monkeypatch.setattr(operator, "_check_params", counted)
+        cfg = small_config(d=16, d_f=8, d_mid=8, d_g=8)
+        x, params = random_case(61, 9, cfg)
+        fortran = NlRoiParams(**{n: np.asfortranarray(t) for n, t in params.tensors()})
+        for given in (params, fortran):
+            out, cache = nlroi_forward(x, given, cfg, (4, 5))
+            assert len(calls) == 1
+            for backward_params in (params, fortran):
+                nlroi_backward(cache, backward_params, cfg, np.ones_like(out))
+            assert len(calls) == 1
+            calls.clear()
+        # C-contiguous float64 tensors reach the cache with no copy
+        cached = nlroi_forward(x, params, cfg)[1].params
+        assert all(t is getattr(params, n) for n, t in cached.tensors())

@@ -106,9 +106,9 @@ class TestGenerateScene:
         scene = generate_scene(Prng(61), SPEC)
         assert np.array_equal(scene.labels, np.full(8, scene.majority_class))
 
-    def test_noise_free_features_are_pure_onehot(self):
-        spec = SceneSpec(n=8, k=4, d=16, h=3, w=3, sigma=0.0)
-        scene = generate_scene(Prng(62), spec)
+    def test_noise_free_features_are_pure_onehot(self, monkeypatch):
+        monkeypatch.setattr(toytask, "NOISE_SIGMA", 0.0)
+        scene = generate_scene(Prng(62), SPEC)
         assert np.array_equal(
             np.argmax(scene.features[:, :, 0, 0], axis=1), scene.latent_classes
         )
@@ -142,7 +142,7 @@ def scene_by_loops(prng, spec):
         else:
             r = prng.randint(k - 1)
             latent[i] = r if r < majority else r + 1
-    base = spec.sigma * prng.normals(n * d).reshape(n, d)
+    base = toytask.NOISE_SIGMA * prng.normals(n * d).reshape(n, d)
     for i in range(n):
         base[i, latent[i]] += 1.0
     features = np.broadcast_to(base[:, :, None, None], (n, d, spec.h, spec.w)).copy()
@@ -188,29 +188,29 @@ class TestBlockDraw:
                         [s.labels for s in scenes]).tobytes()
                     assert a.next_u64() == b.next_u64()
 
-    def test_baseline_rows_equal_pooled_features(self):
+    def test_baseline_rows_equal_pooled_features(self, monkeypatch):
         # the head's rows are the pooled maps that one generate_scene per
         # scene (and, for nlroi, one operator forward over them) gives; pool()
         # also checks that every such map is spatially constant. sigma=0
         # gives -0.0 entries, and the rows keep them
         for h, w in ((1, 1), (1, 2), (3, 3), (3, 5)):
             for sigma in (0.1, 0.0):
-                spec = SceneSpec(n=8, k=4, d=6, h=h, w=w, sigma=sigma)
+                monkeypatch.setattr(toytask, "NOISE_SIGMA", sigma)
+                spec = SceneSpec(n=8, k=4, d=6, h=h, w=w)
                 op = NlRoiConfig(d=6, d_f=3, d_mid=3, d_g=2, h=h, w=w)
                 for config in (None, op):
                     model = init_model(spec, config, Prng(3))
                     for count in (1, 8):
                         a, b = Prng(77 + count), Prng(77 + count)
-                        pooled, labels, counts, cache = _head_inputs(model, a, count)
+                        pooled, labels, cache = _head_inputs(model, a, count)
                         feats = np.concatenate(
                             [generate_scene(b, spec).features for _ in range(count)])
                         if config is not None:
-                            feats, _ = nlroi_forward(feats, model.nlroi_params, op, counts)
+                            feats, _ = nlroi_forward(feats, model.nlroi_params, op, [8] * count)
                         want = pool(feats)
                         assert pooled.tobytes() == want.tobytes(), (h, w, sigma, config)
                         mean = np.mean(feats, axis=(2, 3))
                         assert np.allclose(pooled, mean, rtol=1e-14, atol=0.0)
-                        assert counts == [8] * count
                         assert (cache is None) == (config is None)
                         assert a.next_u64() == b.next_u64()
                         if sigma == 0.0:
@@ -231,11 +231,11 @@ def head_inputs_per_scene(model, prng, scenes):
     counts = [len(l) for l in labels]
     labels = np.concatenate(labels)
     if model.nlroi_config is None:
-        return np.concatenate(rows), labels, counts, None
+        return np.concatenate(rows), labels, None
     feats, cache = nlroi_forward(
         np.concatenate(rows), model.nlroi_params, model.nlroi_config, counts
     )
-    return pool(feats), labels, counts, cache
+    return pool(feats), labels, cache
 
 
 def train_per_scene(variant, hyper, seed):
@@ -318,8 +318,8 @@ def train_per_tensor(variant, hyper, seed):
     velocity = [np.zeros_like(p) for p in params]
     losses = []
     for _ in range(hyper.steps):
-        pooled, labels, counts, cache = _head_inputs(model, prng, hyper.scenes_per_step)
-        loss, d_logits = _cross_entropy(head_logits(model, pooled), labels, counts)
+        pooled, labels, cache = _head_inputs(model, prng, hyper.scenes_per_step)
+        loss, d_logits = _cross_entropy(head_logits(model, pooled), labels, SPEC.n)
         losses.append(loss / hyper.scenes_per_step)
         grads = [d_logits.T @ pooled, np.sum(d_logits, axis=0)]
         if cache is not None:
@@ -336,12 +336,13 @@ def train_per_tensor(variant, hyper, seed):
 
 @pytest.mark.parametrize("n, k", [(64, 4), (8192, 4), (63, 9), (8, 2)])
 def test_cross_entropy_matches_per_row_reductions_bitwise(n, k):
-    """The column-wise max and the flat label index give the bits of the
-    per-row formulation."""
+    """The column-wise max, the flat label index and the one scene size
+    give the bits of the per-row formulation over an array of scene sizes."""
     prng = Prng(n + k)
     logits = 4.0 * prng.normals(n * k).reshape(n, k)
     labels = np.array([prng.randint(k) for _ in range(n)])
-    counts = [n // 2, n - n // 2]
+    rois = 8 if n % 8 == 0 else 7
+    counts = [rois] * (n // rois)
     shifted = logits - np.max(logits, axis=1, keepdims=True)
     e = np.exp(shifted)
     total = np.sum(e, axis=1, keepdims=True)
@@ -349,7 +350,7 @@ def test_cross_entropy_matches_per_row_reductions_bitwise(n, k):
     want_loss = float(np.sum((np.log(total[:, 0]) - shifted[np.arange(n), labels]) / rows_per_scene))
     want = e / total
     want[np.arange(n), labels] -= 1.0
-    loss, d_logits = _cross_entropy(logits, labels, counts)
+    loss, d_logits = _cross_entropy(logits, labels, rois)
     assert loss == want_loss
     assert d_logits.tobytes() == (want / rows_per_scene[:, None]).tobytes()
 
