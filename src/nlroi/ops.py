@@ -53,10 +53,12 @@ axis:
   N x N temporary for them.
 
 All operations are deterministic run to run on one machine with one
-NumPy/BLAS build. The VJPs contract with BLAS (``@``; the softmax VJP's
-row dot too, one BLAS dot per row) and sum with ``ufunc.reduce`` (the
-bits of ``np.sum`` and ``np.max``, without their Python wrappers). Sums
-over RoIs (the weight and bias gradients) take the RoIs in the order
+NumPy/BLAS build and one BLAS thread count: at paper widths the weight
+gradient of ``conv2d_1x1_vjp`` takes other bits on one OpenBLAS thread
+than on two (the operator's ``w_phi``, ``w_psi`` and ``w_g1``). The VJPs
+contract with BLAS (``@``; the softmax VJP's row dot too, one BLAS dot
+per row) and sum with ``ufunc.reduce`` (the bits of ``np.sum`` and
+``np.max``, without their Python wrappers). Sums over RoIs (the weight and bias gradients) take the RoIs in the order
 given, so reordering the RoIs can change their last bits: a BLAS
 reduction's order depends on the operands' sizes and on where an element
 falls in the blocking. ``conv2d_1x1_vjp`` takes its weight gradient as a

@@ -6,14 +6,15 @@ produced with vectorized integer arithmetic while remaining bit-identical
 to stepping the generator one value at a time. Uniform doubles come from
 the top 53 bits of each 64-bit output, giving values in [0, 1) that are
 exactly reproducible on any platform, and normals from pairs of uniforms
-by Box-Muller. Both transforms are module functions, so a caller can take
-one block of raw outputs and split it between several uses.
+by Box-Muller.
 
 The block draws (``u64s``, ``uniforms``, ``normals``, ``uniforms_in``)
 allocate their result once and fill it in chunks of ``_CHUNK`` outputs
 through reused chunk-sized buffers, so a draw peaks at about the size
 of its result; output k depends only on k, so the chunks give the bits of
-one whole draw.
+one whole draw. ``raw_to_normals``, the one Box-Muller path, streams a 2-D
+raw block the same way: ``normals`` calls it once per chunk, and
+``toytask`` once for a block that it splits between several uses.
 """
 
 from __future__ import annotations
@@ -56,26 +57,41 @@ def _to_uniforms(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.multiply(raw, _TWO53_INV, out=out)
 
 
-def raw_to_uniforms(raw: np.ndarray) -> np.ndarray:
-    """``_to_uniforms`` into a new array, for a caller that splits one
-    block between several uses (``Prng``'s own draws stream theirs in
-    chunks). Callers pass a block they are done with, so the result is the
-    only new array."""
-    return _to_uniforms(raw, np.empty(raw.shape))
-
-
-def uniforms_to_normals(u: np.ndarray) -> np.ndarray:
-    """Standard normal deviates via Box-Muller, one per pair of consecutive
-    uniforms along the last axis (which must have even length)."""
-    # 1 - u[..., 0::2] lies in (0, 1], keeping the log argument strictly positive.
-    r = 1.0 - u[..., 0::2]
+def _box_muller(raw: np.ndarray, buf: np.ndarray, out: np.ndarray) -> None:
+    """One normal per pair of consecutive raw outputs along the last axis,
+    written into ``out``, through the uniform buffer ``buf``."""
+    u = _to_uniforms(raw, buf[: raw.size].reshape(raw.shape))
+    # 1 - u lies in (0, 1], keeping the log argument strictly positive
+    r = np.subtract(1.0, u[..., 0::2], out=out)
     np.log(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
     angle = 2.0 * np.pi * u[..., 1::2]
     np.cos(angle, out=angle)
     r *= angle
-    return r
+
+
+def raw_to_normals(raw: np.ndarray, out: np.ndarray) -> None:
+    """Standard normal deviates via Box-Muller, one per pair of consecutive
+    raw outputs along the last axis of the 2-D block ``raw`` (even row
+    length), written into ``out`` (one row per row of ``raw``, half its
+    width). Shifts ``raw`` in place.
+
+    The block goes in pieces of at most ``_CHUNK`` outputs through one
+    uniform buffer: whole rows when several fit, else one row at a time in
+    column pieces of even width, so no pair straddles two pieces. A one-row
+    piece is a 1-D view, which NumPy's ufuncs take on their fast path.
+    """
+    rows, width = raw.shape
+    u = np.empty(min(raw.size, _CHUNK))
+    step = _CHUNK // width
+    if rows > 1 and step > 1:
+        for r in range(0, rows, step):
+            _box_muller(raw[r : r + step], u, out[r : r + step])
+    else:
+        for r in range(rows):
+            for c in range(0, width, _CHUNK):
+                _box_muller(raw[r, c : c + _CHUNK], u, out[r, c // 2 : (c + _CHUNK) // 2])
 
 
 class Prng:
@@ -139,12 +155,9 @@ class Prng:
         """Standard normal deviates via Box-Muller; consumes 2 uniforms each."""
         count = _count(count)
         out = np.empty(count)
-        u = np.empty(min(2 * count, _CHUNK))
-        # a chunk has even length, so no pair of uniforms straddles two
+        # a chunk has even length, so no pair of outputs straddles two
         for offset, z in self._draw(2 * count):
-            out[offset // 2 : (offset + z.size) // 2] = uniforms_to_normals(
-                _to_uniforms(z, u[: z.size])
-            )
+            raw_to_normals(z[None], out[None, offset // 2 : (offset + z.size) // 2])
         return out
 
     def randint(self, n: int) -> int:

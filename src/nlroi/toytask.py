@@ -49,7 +49,7 @@ from .operator import (
     nlroi_backward,
     nlroi_forward,
 )
-from .rng import Prng, partial_shuffle, raw_to_uniforms, uniforms_to_normals
+from .rng import Prng, partial_shuffle, raw_to_normals
 
 # Evaluation draws scenes from a salted seed so that passing the training
 # seed to evaluate() never replays the exact scenes seen during training.
@@ -100,7 +100,10 @@ def _draw_scenes(prng: Prng, spec: SceneSpec, count: int):
     ascending index, then 2 * n * d outputs for one normal per (RoI,
     channel). These are the outputs, and the values, that those draws
     would take one call at a time, so the stream does not depend on how
-    many scenes one call draws.
+    many scenes one call draws. The noise columns go through
+    ``raw_to_normals`` straight into the rows, in pieces of at most
+    ``rng._CHUNK`` outputs (one piece for every default-config draw), and
+    are scaled in place: the bits of ``NOISE_SIGMA * normals``.
     """
     n, k, d = spec.n, spec.k, spec.d
     m = majority_count(n)
@@ -112,8 +115,9 @@ def _draw_scenes(prng: Prng, spec: SceneSpec, count: int):
     latent = np.repeat(majority[:, None], n, axis=1)
     latent[~member] = (r + (r >= majority[:, None])).reshape(-1)
     latent = latent.reshape(-1)
-    noise = uniforms_to_normals(raw_to_uniforms(block[:, n + 1 :]))
-    rows = NOISE_SIGMA * noise.reshape(count * n, d)
+    rows = np.empty((count * n, d))
+    raw_to_normals(block[:, n + 1 :], rows.reshape(count, n * d))
+    rows *= NOISE_SIGMA
     rows[np.arange(count * n), latent] += 1.0
     return rows, latent, np.repeat(majority, n)
 

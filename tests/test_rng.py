@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nlroi.rng import _CHUNK, Prng
+from nlroi.rng import _CHUNK, Prng, raw_to_normals
 
 
 class TestStream:
@@ -168,6 +168,22 @@ class TestChunks:
         parts = [parts_prng.normals(k) for k in (_CHUNK // 2 - 1, 3, _CHUNK // 2 + 5)]
         assert np.concatenate(parts).tobytes() == whole.tobytes()
         assert whole_prng.next_u64() == parts_prng.next_u64()
+
+    @pytest.mark.parametrize(
+        "rows, width",
+        [(r, w) for r in (1, 3) for w in (_CHUNK - 2, _CHUNK, _CHUNK + 2, 3 * _CHUNK + 4)]
+        + [(3, 6), (5000, 6)],
+    )
+    def test_raw_to_normals_is_normals(self, rows, width):
+        # rows of raw outputs, in row order, are one stream: one row per
+        # piece (up to _CHUNK), column pieces with a remainder (wider),
+        # several rows per piece (width 6, 5000 rows leave a remainder)
+        raw = Prng(rows + width).u64s(rows * width).reshape(rows, width)
+        out = np.full((rows + 2, width // 2), 7.5)
+        raw_to_normals(raw, out[:rows])
+        assert out[:rows].tobytes() == Prng(rows + width).normals(rows * width // 2).tobytes()
+        # the rows past the block's stay untouched
+        assert np.all(out[rows:] == 7.5)
 
     def test_frozen_digests(self):
         # SHA-256 of the bytes the whole-array draws gave before chunking

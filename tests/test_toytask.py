@@ -188,6 +188,28 @@ class TestBlockDraw:
                         [s.labels for s in scenes]).tobytes()
                     assert a.next_u64() == b.next_u64()
 
+    @pytest.mark.parametrize("sigma", [0.1, 0.0])
+    def test_noise_pieces_match_scalar_loops(self, monkeypatch, sigma):
+        # the noise goes through rng.raw_to_normals in pieces of at most
+        # _CHUNK outputs: at n=40, d=208 one scene's 16,640 noise outputs are
+        # a full column piece plus a remainder, and at n=8, d=6 171 scenes
+        # fill a piece of whole rows and leave a remainder. sigma=0 gives
+        # -0.0 entries, and the rows keep them
+        monkeypatch.setattr(toytask, "NOISE_SIGMA", sigma)
+        wide, short = SceneSpec(n=40, k=4, d=208, h=1, w=1), SceneSpec(n=8, k=4, d=6, h=1, w=1)
+        for spec, count in ((wide, 1), (wide, 3), (short, 171)):
+            a, b, c = Prng(91 + count), Prng(91 + count), Prng(91 + count)
+            rows, latent, labels = _draw_scenes(a, spec, count)
+            loops = [scene_by_loops(b, spec) for _ in range(count)]
+            scenes = [generate_scene(c, spec) for _ in range(count)]
+            for want in (loops, scenes):
+                assert rows.tobytes() == np.concatenate([s.features[:, :, 0, 0] for s in want]).tobytes()
+                assert latent.tobytes() == np.concatenate([s.latent_classes for s in want]).tobytes()
+                assert labels.tobytes() == np.concatenate([s.labels for s in want]).tobytes()
+            assert a.next_u64() == b.next_u64() == c.next_u64()
+            if sigma == 0.0:
+                assert np.signbit(rows[rows == 0.0]).any()
+
     def test_baseline_rows_equal_pooled_features(self, monkeypatch):
         # the head's rows are the pooled maps that one generate_scene per
         # scene (and, for nlroi, one operator forward over them) gives; pool()
