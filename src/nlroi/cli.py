@@ -14,17 +14,7 @@ import sys
 
 from .bench import DEFAULT_SWEEP, MIN_REPS, emit_csv, fit_scaling_exponent, run_bench
 from .config import ConfigFile, parse_config
-from .errors import (
-    ConfigError,
-    DegenerateAttentionError,
-    DimensionError,
-    DivergenceError,
-    InsufficientDataError,
-    NumericalError,
-    ResourceError,
-    WeightsFormatError,
-    require_size,
-)
+from .errors import InsufficientDataError, NlRoiError, require_size
 from .gradcheck import check_all_gradients, format_report, summary_line
 from .operator import (
     NlRoiConfig,
@@ -40,18 +30,6 @@ from .weights import load_weights, save_weights
 
 ORACLE_TOL = 1e-9
 
-_HANDLED = (
-    ConfigError,
-    DegenerateAttentionError,
-    DimensionError,
-    DivergenceError,
-    InsufficientDataError,
-    NumericalError,
-    ResourceError,
-    WeightsFormatError,
-    OSError,
-)
-
 
 def _load_config(args) -> ConfigFile:
     if args.config is None:
@@ -62,12 +40,6 @@ def _load_config(args) -> ConfigFile:
 
 def _seed(args, cfg: ConfigFile) -> int:
     return cfg.seed if args.seed is None else args.seed
-
-
-def _model_from_weights(named: dict, cfg: ConfigFile) -> ToyModel:
-    for name, value in named.items():
-        _require_finite(value, f"weights tensor {name!r}")
-    return ToyModel.from_named(cfg.spec, cfg.nlroi if "w_phi" in named else None, named)
 
 
 def _cmd_gradcheck(args) -> int:
@@ -117,7 +89,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _load_config(args)
-    model = _model_from_weights(load_weights(args.weights), cfg)
+    named = load_weights(args.weights)
+    for name, value in named.items():
+        _require_finite(value, f"weights tensor {name!r}")
+    model = ToyModel.from_named(cfg.spec, cfg.nlroi if "w_phi" in named else None, named)
     acc = evaluate(model, scenes=args.scenes, seed=_seed(args, cfg))
     print(f"ACCURACY {acc:.6f}")
     return 0
@@ -231,9 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the package's own errors and failed file access exit 1; anything else
+    # is a bug and propagates
     try:
         return args.fn(args)
-    except _HANDLED as exc:
+    except (NlRoiError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,15 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. Each derives from its builtin
+base and then from ``NlRoiError``, so ``except ValueError`` still catches a
+``DimensionError`` and one clause catches every class here."""
 
 
-class DimensionError(ValueError):
+class NlRoiError(Exception):
+    """Base of every error class of the package."""
+
+
+class DimensionError(ValueError, NlRoiError):
     """Tensor shapes are incompatible with the requested operation."""
 
 
-class DegenerateAttentionError(ValueError):
+class DegenerateAttentionError(ValueError, NlRoiError):
     """A masked attention row has no unmasked entries to attend to."""
 
 
-class ConfigError(ValueError):
+class ConfigError(ValueError, NlRoiError):
     """A configuration file or configuration value is invalid. ``fields``
     names the fields a rule rejects, the one at fault first and then any
     other field the rule compares it with."""
@@ -26,7 +32,7 @@ def require_size(name: str, value, least: int) -> None:
         raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}", name)
 
 
-class WeightsFormatError(ValueError):
+class WeightsFormatError(ValueError, NlRoiError):
     """A weights file violates the binary format (magic, names, ranks)."""
 
 
@@ -34,7 +40,7 @@ class WeightsCorruptionError(WeightsFormatError):
     """A weights file is truncated or its payload disagrees with its header."""
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(RuntimeError, NlRoiError):
     """Training produced a non-finite loss."""
 
     def __init__(self, step: int, loss: float):
@@ -43,14 +49,14 @@ class DivergenceError(RuntimeError):
         self.loss = loss
 
 
-class NumericalError(ArithmeticError):
+class NumericalError(ArithmeticError, NlRoiError):
     """A non-finite value where a finite one is required: an operator input
     blob, the attention scores, or a finite-difference probe."""
 
 
-class InsufficientDataError(ValueError):
+class InsufficientDataError(ValueError, NlRoiError):
     """Not enough data points for the requested fit."""
 
 
-class ResourceError(RuntimeError):
+class ResourceError(RuntimeError, NlRoiError):
     """An allocation failed (e.g. an oversized benchmark tuple)."""

@@ -152,8 +152,12 @@ class ForwardCache:
     ``order[row + i*n + k]`` gives to call row ``order[row + i*n + j]``; the
     diagonal holds each RoI's self-weight. ``attn`` is the only N x N array
     the cache keeps. ``config`` and ``params`` are the forward's checked
-    ones (``_check_params`` copies no C-contiguous float64 tensor): the
-    backward differentiates them and must be given equal ones.
+    ones: the backward differentiates them and must be given equal ones.
+    ``x`` and the ``params`` tensors are the caller's own arrays wherever
+    these already are C-contiguous float64 (no copy is made), so a change
+    made to them in place between the passes is not caught: it passes the
+    backward's identity rule, and the backward differentiates the new
+    values against the old activations.
     """
 
     config: NlRoiConfig
@@ -223,7 +227,10 @@ def _image_counts(counts, n: int) -> tuple:
     if counts is None:
         return (n,)
     arr = np.asarray(counts)
-    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+    # NumPy casts bools among integers to integers: a bool is no count
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu") or any(
+        isinstance(c, (bool, np.bool_)) for c in counts
+    ):
         raise DimensionError(f"counts must be a sequence of integers, got {counts!r}")
     counts = tuple(int(c) for c in arr)
     if any(c < 0 for c in counts):
@@ -305,7 +312,13 @@ def _canonical_order(groups: tuple, *blobs):
         if k.size:
             for key in keys:
                 same[k] &= key[ranked[k + 1]] == key[ranked[k]]
-        twins.append(_repeats(same) if k.size else None)
+            k = k[same[k]]
+        if not k.size:
+            twins.append(None)
+            continue
+        # a run of twins starts at the last RoI that differs from the one before
+        start = np.maximum.accumulate(np.where(same, 0, np.arange(1, same.size + 1)))
+        twins.append((k + 1, start[k]))
     return order, tuple(twins)
 
 
@@ -313,17 +326,6 @@ def _row_keys(a: np.ndarray) -> np.ndarray:
     """One void scalar per row of ``a``, holding the row's bytes."""
     rows = np.ascontiguousarray(a).reshape(a.shape[0], math.prod(a.shape[1:]))
     return rows.view(f"V{rows.itemsize * rows.shape[1]}")[:, 0]
-
-
-def _repeats(same: np.ndarray):
-    """None, or (k, a) where entry k repeats entry a, the first of its run;
-    ``same[k - 1]`` says entry k equals entry k - 1."""
-    (k,) = np.nonzero(same)
-    if not k.size:
-        return None
-    # a run starts at the last entry that differs from the one before
-    start = np.maximum.accumulate(np.where(same, 0, np.arange(1, same.size + 1)))
-    return k + 1, start[k]
 
 
 def _stacked(a: np.ndarray, row: int, images: int, rois: int) -> np.ndarray:
@@ -562,6 +564,8 @@ def nlroi_backward(
     ``NlRoiParams`` order, that is neither the forward's own array nor
     ``np.array_equal`` to it. The backward differentiates the cache's
     tensors, so the layout and dtype of ``params`` do not change a bit.
+    The cache may alias the caller's ``x`` and parameter arrays (see
+    ``ForwardCache``): change them in place only after the backward.
 
     dX is the concat pass-through plus one stacked 1x1 VJP: phi, psi and
     g1 read the same x, so their upstreams share one buffer and one call

@@ -161,7 +161,8 @@ class Prng:
         return out
 
     def randint(self, n: int) -> int:
-        """Integer in [0, n)."""
+        """Integer in [0, n); ``n`` must be an integer."""
+        n = operator.index(n)
         if n <= 0:
             raise ValueError(f"randint bound must be positive, got {n}")
         return self.next_u64() % n

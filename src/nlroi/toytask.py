@@ -54,7 +54,6 @@ from .rng import Prng, partial_shuffle, raw_to_normals
 # Evaluation draws scenes from a salted seed so that passing the training
 # seed to evaluate() never replays the exact scenes seen during training.
 _EVAL_SEED_SALT = 0xD1B54A32D192ED03
-_MASK64 = (1 << 64) - 1
 # RoI feature values (float64) per model call in evaluate(): 512 KB of blob
 _EVAL_BUDGET = 1 << 16
 
@@ -334,7 +333,7 @@ def evaluate(model: ToyModel, scenes: int, seed: int) -> float:
     require_size("scenes", scenes, 1)
     spec = model.spec
     chunk = max(1, _EVAL_BUDGET // (spec.n * spec.d * spec.h * spec.w))
-    prng = Prng((seed ^ _EVAL_SEED_SALT) & _MASK64)
+    prng = Prng(seed ^ _EVAL_SEED_SALT)
     correct = 0
     total = 0
     for start in range(0, scenes, chunk):

@@ -28,14 +28,10 @@ from .errors import WeightsCorruptionError, WeightsFormatError
 MAGIC = b"NLROIW01"
 
 
-def _pairs(named):
-    return list(named.items()) if isinstance(named, dict) else list(named)
-
-
 def save_weights(path, named) -> None:
     """Write named tensors in the given order. ``named`` is a dict or a
     sequence of (name, array) pairs."""
-    pairs = _pairs(named)
+    pairs = list(named.items()) if isinstance(named, dict) else list(named)
     names = [name for name, _ in pairs]
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})

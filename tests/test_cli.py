@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from nlroi import cli, errors
 from nlroi.cli import main
 from nlroi.operator import NlRoiConfig
 from nlroi.rng import Prng
@@ -29,6 +30,11 @@ FAST_TRAIN = "\n".join(
 
 # the bench's operator at its smallest useful size
 TINY_OP = NlRoiConfig(d=4, d_f=2, d_mid=2, d_g=2, h=2, w=2)
+
+# every exception class that nlroi.errors defines
+ERROR_CLASSES = [
+    c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, BaseException)
+]
 
 GRID_SMALL = "\n".join(["d = 6", "d_f = 3", "d_mid = 3", "d_g = 4", "h = 2", "w = 2", "n = 4"])
 
@@ -312,6 +318,28 @@ class TestInitCommand:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+    def test_every_package_error_exits_one(self, capsys, monkeypatch, cls):
+        """The handler catches every class of nlroi.errors without naming it."""
+        exc = cls(3, float("nan")) if cls is errors.DivergenceError else cls("boom")
+
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_init", fail)
+        assert main(["init"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {exc}\n"
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def fail(args):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(cli, "_cmd_init", fail)
+        with pytest.raises(KeyError):
+            main(["init"])
+
     def test_bad_config_path(self, capsys):
         rc = main(["gradcheck", "--config", "/nonexistent.cfg"])
         assert rc == 1

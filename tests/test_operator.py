@@ -528,7 +528,8 @@ class TestMultiImage:
     def test_bad_counts_raise(self):
         cfg = small_config()
         x, params = random_case(65, 6, cfg)
-        for counts in ((2, 3), (2, 3, 2), (7, -1), (2.0, 4.0), [[2, 4]]):
+        bools = ([True, 5], (np.True_, 5), [5, np.bool_(True)], [True, True, 4])
+        for counts in ((2, 3), (2, 3, 2), (7, -1), (2.0, 4.0), [[2, 4]], *bools):
             with pytest.raises(DimensionError):
                 nlroi_forward(x, params, cfg, counts=counts)
         with pytest.raises(DimensionError, match="image 1"):

@@ -1,10 +1,11 @@
-"""The package holds no API that only tests use."""
+"""The package holds no API that only tests use, and one error base."""
 
 import ast
 from collections import Counter
 from pathlib import Path
 
 import nlroi
+from nlroi import errors
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -46,3 +47,14 @@ def test_every_public_name_is_read_outside_its_definition():
             if total[name] == reads(node)[name]:
                 unread.append(f"{path.stem}.{qualified}")
     assert unread == []
+
+
+def test_every_error_class_derives_from_the_package_base():
+    """One ``except NlRoiError`` catches every error the package defines;
+    each class other than the base keeps a builtin base ahead of it."""
+    classes = [c for c in vars(errors).values() if isinstance(c, type)]
+    assert len(classes) > 1
+    for cls in classes:
+        assert issubclass(cls, errors.NlRoiError), cls.__name__
+        if cls is not errors.NlRoiError:
+            assert cls.__mro__[1] is not errors.NlRoiError, cls.__name__

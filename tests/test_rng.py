@@ -74,6 +74,11 @@ class TestDerivedDraws:
         with pytest.raises(ValueError):
             Prng(0).randint(0)
 
+    @pytest.mark.parametrize("bound", [2.5, 7.0])
+    def test_randint_rejects_a_non_integer_bound(self, bound):
+        with pytest.raises(TypeError):
+            Prng(0).randint(bound)
+
     def test_sample_indices_distinct(self):
         p = Prng(4)
         for _ in range(200):
