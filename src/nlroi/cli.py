@@ -14,12 +14,11 @@ import sys
 
 from .bench import DEFAULT_SWEEP, MIN_REPS, emit_csv, fit_scaling_exponent, run_bench
 from .config import ConfigFile, parse_config
-from .errors import InsufficientDataError, NlRoiError, require_size
+from .errors import InsufficientDataError, NlRoiError, require_finite, require_size
 from .gradcheck import check_all_gradients, format_report, summary_line
 from .operator import (
     NlRoiConfig,
     Scaling,
-    _require_finite,
     init_params,
     nlroi_forward,
     nlroi_reference,
@@ -91,7 +90,7 @@ def _cmd_eval(args) -> int:
     cfg = _load_config(args)
     named = load_weights(args.weights)
     for name, value in named.items():
-        _require_finite(value, f"weights tensor {name!r}")
+        require_finite(value, f"weights tensor {name!r}")
     model = ToyModel.from_named(cfg.spec, cfg.nlroi if "w_phi" in named else None, named)
     acc = evaluate(model, scenes=args.scenes, seed=_seed(args, cfg))
     print(f"ACCURACY {acc:.6f}")

@@ -1,6 +1,9 @@
 """Exception types shared across the package. Each derives from its builtin
 base and then from ``NlRoiError``, so ``except ValueError`` still catches a
-``DimensionError`` and one clause catches every class here."""
+``DimensionError`` and one clause catches every class here. Two rules that
+several modules apply live here too: ``require_size`` and ``require_finite``."""
+
+import numpy as np
 
 
 class NlRoiError(Exception):
@@ -32,12 +35,22 @@ def require_size(name: str, value, least: int) -> None:
         raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}", name)
 
 
+def require_finite(a: np.ndarray, what: str) -> None:
+    """Raises NumericalError naming ``what``, the first non-finite value of
+    ``a`` and its index, unless every value of ``a`` is finite."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        index = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise NumericalError(f"{what} has a non-finite value {float(a[index])!r} at index {index}")
+
+
 class WeightsFormatError(ValueError, NlRoiError):
     """A weights file violates the binary format (magic, names, ranks)."""
 
 
 class WeightsCorruptionError(WeightsFormatError):
-    """A weights file is truncated or its payload disagrees with its header."""
+    """A weights file fails its CRC-32, is truncated, or its payload
+    disagrees with its header."""
 
 
 class DivergenceError(RuntimeError, NlRoiError):

@@ -63,6 +63,7 @@ from .errors import (
     DegenerateAttentionError,
     DimensionError,
     NumericalError,
+    require_finite,
     require_size,
 )
 from .rng import Prng
@@ -199,7 +200,7 @@ def _check_blob(x: np.ndarray, config: NlRoiConfig) -> np.ndarray:
             f"blob shape {x.shape} disagrees with config "
             f"(D={config.d}, H={config.h}, W={config.w})"
         )
-    _require_finite(x, "RoI blob")
+    require_finite(x, "RoI blob")
     return x
 
 
@@ -213,13 +214,6 @@ def _check_params(params: NlRoiParams, config: NlRoiConfig) -> NlRoiParams:
             raise DimensionError(f"{name} has shape {t.shape}, config implies {want}")
         tensors.append(t)
     return NlRoiParams(*tensors)
-
-
-def _require_finite(a: np.ndarray, name: str) -> None:
-    finite = np.isfinite(a)
-    if not finite.all():
-        index = tuple(int(i) for i in np.argwhere(~finite)[0])
-        raise NumericalError(f"{name} has a non-finite value {float(a[index])!r} at index {index}")
 
 
 def _image_counts(counts, n: int) -> tuple:
@@ -385,7 +379,7 @@ def nlroi_forward(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig, count
     g_pre = ops.conv2d_1x1(x, params.w_g1, params.b_g1)
     g_post = ops.relu(g_pre)
     g = ops.conv2d_3x3_pooled(g_post, params.w_g2, params.b_g2)
-    _require_finite(g, "g-branch embedding")
+    require_finite(g, "g-branch embedding")
     g = g[order]
     y_vec = np.empty(g.shape)
     attns = []
@@ -572,10 +566,13 @@ def nlroi_backward(
     gives their dX as one product per RoI. The mix, softmax and score VJPs
     run per group of the cache in the forward's canonical order, on blocks
     of each image's rows (``_group_vjp``), and so does the pooled 3x3
-    conv's VJP; their results go back to call order once per tensor. A
-    non-finite ``d_out`` raises NumericalError. When the forward found
-    twins, ``_canonical_order`` sorts again by x and then by ``d_out``,
-    which puts each run of twins in an order of its own, and twins whose
+    conv's VJP; their results go back to call order once per tensor, the
+    ReLU VJP's straight into the stacked upstream. At paper widths the
+    backward's peak beside the cache is at most that upstream, dX and one
+    (N, D_mid, H, W) map (``TestMemory`` bounds it). A non-finite
+    ``d_out`` raises NumericalError. When the forward found twins,
+    ``_canonical_order`` sorts again by x and then by ``d_out``, which
+    puts each run of twins in an order of its own, and twins whose
     upstream rows are equal too get the dX of the first of them. Parameter
     gradients are summed over every image of the call.
     """
@@ -596,7 +593,7 @@ def nlroi_backward(
             f"upstream gradient has shape {d_out.shape}, "
             f"expected {(n, d + d_g, h, w)}"
         )
-    _require_finite(d_out, "upstream gradient")
+    require_finite(d_out, "upstream gradient")
 
     d_x_pass, d_tile = ops.concat_channels_vjp(x, d_out)
     d_y = ops.tile_spatial_vjp(d_tile)
@@ -622,14 +619,13 @@ def nlroi_backward(
 
     # G = pool(conv3x3(relu(conv1x1(x)))); the pooled conv's input gradient
     # is one product over all rows, so it too runs in canonical order. The
-    # ReLU is redone in place on the gather, in ops.relu's operand order
+    # ReLU is redone in place on the gather (in ops.relu's operand order),
+    # whose > 0 is its input's: it masks the VJP, scattered once to call order
     g_post = cache.g_pre[order]
     np.maximum(0.0, g_post, out=g_post)
     d_g_canon, d_w_g2, d_b_g2 = ops.conv2d_3x3_pooled_vjp(g_post, params.w_g2, d_g_canon)
-    del g_post  # not held through the stacked 1x1 VJP
-    d_g_post = np.empty(d_g_canon.shape)
-    d_g_post[order] = d_g_canon
-    d_emb[:, 2 * d_f :] = ops.relu_vjp(cache.g_pre, d_g_post)
+    d_emb[order, 2 * d_f :] = ops.relu_vjp(g_post, d_g_canon)
+    del g_post, d_g_canon  # not held through the stacked 1x1 VJP
 
     w_emb = np.concatenate([params.w_phi, params.w_psi, params.w_g1])
     d_x, d_w, d_b = ops.conv2d_1x1_vjp(x, w_emb, d_emb)

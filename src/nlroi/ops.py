@@ -157,19 +157,21 @@ def _weight_grad(g: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 
 def conv2d_1x1_vjp(x: np.ndarray, w: np.ndarray, d_out: np.ndarray):
-    """dX is one identical BLAS call per RoI. dW sums one ``_weight_grad``
-    per chunk of consecutive RoIs in call order, the first chunk starting
-    the sum; a chunk holds at most ``_DW_CHUNK_VALUES`` values of X (at
-    least one RoI), so the GEMM's transposed copies stay that small."""
+    """dW sums one ``_weight_grad`` per chunk of consecutive RoIs in call
+    order, the first chunk starting the sum; a chunk holds at most
+    ``_DW_CHUNK_VALUES`` values of X (at least one RoI), so the GEMM's
+    transposed copies stay that small. dX, one identical BLAS call per RoI,
+    is formed after dW, once the copies are freed: beyond its arguments the
+    call holds dX or one chunk's copies, never both."""
     n, cin, h, wd = x.shape
     cout = w.shape[0]
     g = d_out.reshape(n, cout, h * wd)
-    dx = (w.T @ g).reshape(n, cin, h, wd)
     xs = x.reshape(n, cin, h * wd)
     step = max(1, _DW_CHUNK_VALUES // (cin * h * wd))
     dw = _weight_grad(g[:step], xs[:step])  # zeros when there are no RoIs
     for a in range(step, n, step):
         dw += _weight_grad(g[a : a + step], xs[a : a + step])
+    dx = (w.T @ g).reshape(n, cin, h, wd)
     db = np.add.reduce(d_out, axis=(0, 2, 3))
     return dx, dw, db
 

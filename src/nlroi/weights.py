@@ -2,7 +2,7 @@
 
 Layout (all integers little-endian):
 
-    magic   8 bytes  ASCII "NLROIW01"
+    magic   8 bytes  ASCII "NLROIW02"
     count   u32      number of tensors
     per tensor:
         name_len  u16
@@ -10,22 +10,27 @@ Layout (all integers little-endian):
         rank      u8
         dims      rank x u32
         values    product(dims) x f64, row-major
+    crc     u32      CRC-32 (zlib.crc32) of every byte before it
 
 Values are stored exactly as 64-bit IEEE-754, so save -> load returns
-bitwise-identical tensors. Loading rejects wrong magic and duplicate names
-as format errors, and any short read or trailing garbage as corruption.
+bitwise-identical tensors. Loading checks the magic, then the CRC-32, and
+only then reads the tensors: a wrong magic (an ``NLROIW01`` file, which has
+no CRC, included) and duplicate names are format errors; a CRC mismatch,
+any short read and trailing bytes are corruption. A CRC-32 catches every
+single-bit flip and every burst of up to 32 bits.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import zlib
 
 import numpy as np
 
 from .errors import WeightsCorruptionError, WeightsFormatError
 
-MAGIC = b"NLROIW01"
+MAGIC = b"NLROIW02"
 
 
 def save_weights(path, named) -> None:
@@ -54,6 +59,7 @@ def save_weights(path, named) -> None:
                 raise WeightsFormatError(f"dimension {dim} exceeds the format's u32 field")
             buf += struct.pack("<I", dim)
         buf += arr.astype("<f8", copy=False).tobytes(order="C")
+    buf += struct.pack("<I", zlib.crc32(buf))
     with open(path, "wb") as fh:
         fh.write(buf)
 
@@ -62,7 +68,22 @@ def load_weights(path) -> dict:
     """Read tensors back in file order; see the module docstring for errors."""
     with open(path, "rb") as fh:
         data = fh.read()
-    offset = 0
+    if len(data) < len(MAGIC) + 4:
+        raise WeightsCorruptionError(f"truncated file: {len(data)} bytes hold no magic and CRC-32")
+    magic = data[: len(MAGIC)]
+    if magic != MAGIC:
+        if magic[:-2] == MAGIC[:-2]:
+            raise WeightsFormatError(
+                f"weights format {magic.decode('latin-1')} is not read, only {MAGIC.decode()}"
+            )
+        raise WeightsFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+    data, (found,) = data[:-4], struct.unpack("<I", data[-4:])
+    crc = zlib.crc32(data)
+    if crc != found:
+        raise WeightsCorruptionError(
+            f"CRC-32 mismatch: the trailer holds {found:#010x}, the bytes give {crc:#010x}"
+        )
+    offset = len(MAGIC)
 
     def take(count: int, what: str) -> bytes:
         nonlocal offset
@@ -74,9 +95,6 @@ def load_weights(path) -> dict:
         offset += count
         return chunk
 
-    magic = take(len(MAGIC), "magic")
-    if magic != MAGIC:
-        raise WeightsFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
     (count,) = struct.unpack("<I", take(4, "tensor count"))
     out: dict = {}
     for t in range(count):

@@ -922,6 +922,31 @@ class TestMemory:
         assert fwd <= 3 * stack, f"forward peak {fwd / stack:.2f} stacks"
         assert bwd <= 3 * stack, f"backward peak {bwd / stack:.2f} stacks"
 
+    def test_paper_width_backward_working_set(self):
+        """At paper_scale's widths and N = 128 (tracemalloc, the cache live):
+        the backward's peak is at most its stacked 1x1 upstream (N x 192
+        maps), dX (N x 256) and one g-branch map (N x 64). The g-branch
+        gradient needs no call-order buffer of its own, and the 1x1 VJP's
+        dW chunk copies are freed before dX exists. Fewer RoIs would let
+        the chunk copies exceed the bound."""
+        cfg = NlRoiConfig(d=256, d_f=64, d_mid=64, d_g=64, h=7, w=7)
+        n, maps = 128, 128 * 49 * 8
+        x, params = random_case(142, n, cfg)
+        up = Prng(143).normals(n * (cfg.d + cfg.d_g) * 49).reshape(n, cfg.d + cfg.d_g, 7, 7)
+        _, cache = nlroi_forward(x, params, cfg)
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            nlroi_backward(cache, params, cfg, up)
+            bwd = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        bound = (192 + 256 + 64) * maps
+        assert bwd <= bound, f"backward peak {bwd / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
+
 
 class TestParamsContainer:
     def test_fields_follow_the_declared_shapes(self):

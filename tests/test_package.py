@@ -58,3 +58,14 @@ def test_every_error_class_derives_from_the_package_base():
         assert issubclass(cls, errors.NlRoiError), cls.__name__
         if cls is not errors.NlRoiError:
             assert cls.__mro__[1] is not errors.NlRoiError, cls.__name__
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A module of ``nlroi`` imports no underscore name from another module
+    of the package: a rule two modules need is public where it lives."""
+    private = []
+    for path in sorted(Path(nlroi.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("nlroi")):
+                private += [f"{path.stem}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert private == []
