@@ -14,7 +14,7 @@ import sys
 
 from .bench import DEFAULT_SWEEP, MIN_REPS, emit_csv, fit_scaling_exponent, run_bench
 from .config import ConfigFile, parse_config
-from .errors import InsufficientDataError, NlRoiError, require_finite, require_size
+from .errors import ConfigError, InsufficientDataError, NlRoiError, require_finite, require_size
 from .gradcheck import check_all_gradients, format_report, summary_line
 from .operator import (
     NlRoiConfig,
@@ -33,8 +33,15 @@ ORACLE_TOL = 1e-9
 def _load_config(args) -> ConfigFile:
     if args.config is None:
         return parse_config("")
-    with open(args.config, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    with open(args.config, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line of the bad byte, as parse_config's splitlines counts lines
+        ln = len((data[: exc.start].decode("utf-8") + "_").splitlines())
+        raise ConfigError(f"line {ln}: byte {data[exc.start]:#04x} is not UTF-8") from None
+    return parse_config(text)
 
 
 def _seed(args, cfg: ConfigFile) -> int:

@@ -20,9 +20,9 @@ tile and concat) run once over all RoIs; the N x N stages (score, softmax,
 mix) run once per run of consecutive images with equal counts, on stacked
 (images, n, .) arrays. Every image's output is bitwise equal to what a
 call with that image alone returns. The softmax overwrites its input
-stack in blocks of ``_ROW_BLOCK`` rows, so each group keeps one N x N
-stack, the raw scores that become the weights; the backward walks the
-same blocks and makes no whole N x N gradient.
+stack, so each group keeps one N x N stack, the raw scores that become
+the weights; the backward walks blocks of ``_ROW_BLOCK`` rows of it and
+makes no whole N x N gradient.
 
 The N x N stages and their VJPs run in a canonical RoI order: each image's
 RoIs sorted by content (``_canonical_order``, one lexsort per run of
@@ -253,21 +253,20 @@ def _flat_embed(x, w, b):
     return e.reshape(e.shape[0], e.shape[1] * e.shape[2] * e.shape[3])
 
 
-# Rows of an image's N x N stack that the softmax and its VJP take at a
-# time: a block of 64 rows of N = 1024 is 512 KB, which stays in L2
+# Rows of an image's N x N stack that the softmax VJP takes at a time (the
+# forward's softmax takes it whole): 64 rows of N = 1024 are 512 KB, in L2
 _ROW_BLOCK = 64
 
 
-def attention_weights(s: np.ndarray, attend_to_self: bool, first_row=0) -> np.ndarray:
+def attention_weights(s: np.ndarray, attend_to_self: bool) -> np.ndarray:
     """Row softmax of the score matrix, optionally excluding each RoI's self;
     overwrites the float64 array ``s`` with the weights and returns it.
 
-    ``s`` is one (n, n) matrix or a stack (images, n, n), or a block of
-    their rows from ``first_row`` on (see ``ops.softmax_rows``). With
+    ``s`` is one (n, n) matrix or a stack (images, n, n). With
     attend_to_self false the diagonal receives exactly zero weight (scores
     treated as -inf, rows renormalized over the rest).
     """
-    return ops.softmax_rows(s, mask_diagonal=not attend_to_self, first_row=first_row)
+    return ops.softmax_rows(s, mask_diagonal=not attend_to_self)
 
 
 def _canonical_order(groups: tuple, *blobs):
@@ -334,20 +333,19 @@ def _scores(phi: np.ndarray, psi: np.ndarray, row: int, images: int, rois: int) 
     )
 
 
-def _require_finite_scores(block, order, row, first, image):
-    """Raises NumericalError at a non-finite entry of a block of scaled
-    scores: rows ``first``.. of the canonical stack of the group that
-    starts at ``row`` and whose first image is ``image``. The index is
-    given in the image's own row order."""
-    finite = np.isfinite(block)
+def _require_finite_scores(s, order, row, image):
+    """Raises NumericalError at a non-finite entry of the canonical stack of
+    scaled scores of the group that starts at ``row``, whose first image is
+    ``image``. The index is given in the image's own row order."""
+    finite = np.isfinite(s)
     if not finite.all():
         k, i, j = (int(v) for v in np.argwhere(~finite)[0])
-        start = row + k * block.shape[-1]
+        start = row + k * s.shape[-1]
         # canonical row r of the image is row order[start + r] - start of the call
-        at = tuple(int(order[start + r]) - start for r in (first + i, j))
+        at = tuple(int(order[start + r]) - start for r in (i, j))
         raise NumericalError(
             f"attention score matrix of image {image + k} has a non-finite value "
-            f"{float(block[k, i, j])!r} at index {at}"
+            f"{float(s[k, i, j])!r} at index {at}"
         )
 
 
@@ -377,21 +375,18 @@ def nlroi_forward(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig, count
     phi = _flat_embed(x, params.w_phi, params.b_phi)[order]
     psi = _flat_embed(x, params.w_psi, None)[order]
     g_pre = ops.conv2d_1x1(x, params.w_g1, params.b_g1)
-    g_post = ops.relu(g_pre)
-    g = ops.conv2d_3x3_pooled(g_post, params.w_g2, params.b_g2)
+    g = ops.conv2d_3x3_pooled(ops.relu(g_pre), params.w_g2, params.b_g2)
     require_finite(g, "g-branch embedding")
     g = g[order]
     y_vec = np.empty(g.shape)
     attns = []
     image = 0
     for (row, images, rois), twin in zip(groups, twins):
-        # the weights overwrite the raw scores, one block of rows at a time
+        # the weights overwrite the raw scores
         attn = _scores(phi, psi, row, images, rois)
-        for first in range(0, rois, _ROW_BLOCK):
-            block = attn[:, first : first + _ROW_BLOCK]
-            block /= config.scale()
-            _require_finite_scores(block, order, row, first, image)
-            attention_weights(block, config.attend_to_self, first_row=first)
+        attn /= config.scale()
+        _require_finite_scores(attn, order, row, image)
+        attention_weights(attn, config.attend_to_self)
         mixed = (attn @ _stacked(g, row, images, rois)).reshape(-1, config.d_g)
         if twin is not None:
             # a twin copies the first RoI of its run: rows that differ only

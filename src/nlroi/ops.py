@@ -46,26 +46,26 @@ axis:
   leading batch axis. Each matrix of the stack gets exactly the
   operations it would get alone, so its bits do not depend on the others.
 * ``softmax_rows`` and ``softmax_vjp_from_probs`` compute each row on its
-  own, and both write in place: ``softmax_rows`` overwrites its scores,
-  ``softmax_vjp_from_probs`` its upstream. A block of a matrix's rows
-  (``first_row`` places the masked diagonal) gets bitwise the rows the
-  whole matrix would, so the operator runs both on row blocks and makes no
-  N x N temporary for them.
+  own, in place: ``softmax_rows`` overwrites its scores and
+  ``softmax_vjp_from_probs`` its upstream, which the operator's backward
+  passes one block of rows at a time; neither makes an N x N temporary.
 
 All operations are deterministic run to run on one machine with one
-NumPy/BLAS build and one BLAS thread count: at paper widths the weight
-gradient of ``conv2d_1x1_vjp`` takes other bits on one OpenBLAS thread
-than on two (the operator's ``w_phi``, ``w_psi`` and ``w_g1``). The VJPs
-contract with BLAS (``@``; the softmax VJP's row dot too, one BLAS dot
-per row) and sum with ``ufunc.reduce`` (the bits of ``np.sum`` and
-``np.max``, without their Python wrappers). Sums over RoIs (the weight and bias gradients) take the RoIs in the order
-given, so reordering the RoIs can change their last bits: a BLAS
-reduction's order depends on the operands' sizes and on where an element
-falls in the blocking. ``conv2d_1x1_vjp`` takes its weight gradient as a
-sum of one GEMM per chunk of consecutive RoIs, in call order, each chunk
-at most ``_DW_CHUNK_VALUES`` values of X; so its bits also follow the
-chunk bounds, which depend only on the shapes. A stack that fits one
-chunk (the toy and large_n ones) gets the bits of one GEMM over all RoIs.
+NumPy/BLAS build and one BLAS thread count. OpenBLAS splits a product over
+its threads by the operands' sizes, so the thread count can move any
+result's bits (at paper widths and 128 RoIs only the weight gradient of
+``conv2d_1x1_vjp``; the README lists other shapes). The VJPs contract with
+BLAS (``@``; the softmax VJP's row dot too, one BLAS dot per row) and sum
+with ``ufunc.reduce`` (the bits of ``np.sum`` and ``np.max``, without
+their Python wrappers). Sums over RoIs (the weight and bias gradients)
+take the RoIs in the order given, so reordering the RoIs can change their
+last bits: a BLAS reduction's order depends on the operands' sizes and on
+where an element falls in the blocking. ``conv2d_1x1_vjp`` takes its
+weight gradient as a sum of one GEMM per chunk of consecutive RoIs, in
+call order, each chunk at most ``_DW_CHUNK_VALUES`` values of X; so its
+bits also follow the chunk bounds, which depend only on the shapes. A
+stack that fits one chunk (the toy and large_n ones) gets the bits of one
+GEMM over all RoIs.
 
 A VJP result may be a view of its upstream gradient (``concat_channels_vjp``
 returns the two channel slices of ``d_out``), so a caller that writes into
@@ -222,25 +222,22 @@ def conv2d_3x3_pooled_vjp(x: np.ndarray, w: np.ndarray, d_out: np.ndarray):
     return dx, dw, np.add.reduce(d_out, axis=0)
 
 
-def softmax_rows(s: np.ndarray, mask_diagonal=False, first_row=0) -> np.ndarray:
+def softmax_rows(s: np.ndarray, mask_diagonal=False) -> np.ndarray:
     """Row softmax with max subtraction, in place: returns ``s``, a float64
     array (a view is fine), overwritten with the weights.
 
     A stack (B, n, m) is normalized matrix by matrix. With ``mask_diagonal``
-    the diagonal entries receive exactly zero weight and each row
-    renormalizes over the rest (the masked scores are treated as -inf
-    before exponentiation). ``s`` then holds rows ``first_row``.. of square
-    matrices (all their rows by default): row i of ``s`` has its diagonal
-    entry in column ``first_row + i``. Every row gets the same operations in
-    any of these forms, so a block's weights are bitwise the whole matrix's.
+    the matrices are square, their diagonal entries receive exactly zero
+    weight and each row renormalizes over the rest (the masked scores are
+    treated as -inf before exponentiation).
     """
     if mask_diagonal:
         if s.shape[-1] == 1:
             raise DegenerateAttentionError(
                 "a single masked row has no entries left to attend to"
             )
-        rows = np.arange(s.shape[-2])
-        s[..., rows, first_row + rows] = -np.inf
+        rows = np.arange(s.shape[-1])
+        s[..., rows, rows] = -np.inf
     if s.size:
         s -= np.maximum.reduce(s, axis=-1, keepdims=True)
         np.exp(s, out=s)

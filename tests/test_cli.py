@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, stream separation, round trips."""
 
 import math
+import random
 import subprocess
 import sys
 
@@ -362,6 +363,33 @@ class TestErrorPaths:
         assert rc == 1
         assert "line 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_damaged_config_bytes_exit_cleanly(self, tmp_path, capsys):
+        """Each byte of a valid config replaced in turn by 0xff, by '9' and by
+        NUL, and 20 seeded random byte strings: ``init`` exits 0, or exits 1
+        with ``error:`` on stderr. No exception escapes ``main``."""
+        blob = (FAST_TRAIN + "\nscaling = full_flatten  # note\n").encode()
+        cases = [
+            blob[:i] + bytes([b]) + blob[i + 1 :]
+            for b in (0xFF, ord("9"), 0)
+            for i in range(len(blob))
+        ]
+        rng = random.Random(0)
+        cases += [rng.randbytes(rng.randrange(1, 200)) for _ in range(20)]
+        p, out = tmp_path / "fuzz.cfg", tmp_path / "w.bin"
+        for case in cases:
+            p.write_bytes(case)
+            rc = main(["init", "--config", str(p), "--out", str(out)])
+            err = capsys.readouterr().err
+            assert rc == 0 or (rc == 1 and err.startswith("error: ")), (case, rc, err)
+
+    def test_non_utf8_config_names_the_line(self, tmp_path, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_bytes(b"n = 8\r\nd = 8\xff\n")
+        assert main(["init", "--config", str(p), "--out", str(tmp_path / "w.bin")]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 2: byte 0xff is not UTF-8\n"
+        )
 
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -277,7 +277,7 @@ class TestForward:
                 nlroi_forward(x * 1e160, params, cfg)
         # one bad RoI: only its score with itself overflows, and the message
         # names its image and its row there, not its canonical rank, also
-        # in the row blocks after the first
+        # past its first _ROW_BLOCK rows
         counts = (5, _ROW_BLOCK + 6)
         x, params = random_case(33, sum(counts), cfg)
         for i in range(counts[1]):
@@ -655,7 +655,7 @@ class TestCanonicalOrder:
             # a 9-column pooled kernel: rows of one BLAS product over all
             # RoIs round differently by position at this shape
             narrow = NlRoiConfig(d=16, d_f=4, d_mid=1, d_g=16, h=3, w=3, attend_to_self=attend)
-            # 2 * _ROW_BLOCK + 5: the softmax and its VJP take three blocks
+            # 2 * _ROW_BLOCK + 5: the softmax VJP takes three blocks
             for n in (5, 13, 37, 2 * _ROW_BLOCK + 5):
                 x, params = random_case(99 + n, n, narrow)
                 self.check(x, params, narrow, seed=100 + n)
@@ -826,10 +826,11 @@ class TestCanonicalOrder:
 
 
 class TestRowBlocks:
-    """The softmax and its VJP run in place on blocks of ``_ROW_BLOCK`` rows
-    of each image: the weights are bitwise the softmax of the whole score
-    stack (both in canonical order), and the gradients are those of the
-    whole matrices."""
+    """The softmax and its multi-block VJP: the forward normalizes each
+    group's whole score stack in place, and the VJP runs in place on blocks
+    of ``_ROW_BLOCK`` rows of each image. The weights are bitwise the
+    softmax of the whole score stack (both in canonical order), and the
+    gradients are those of the whole matrices."""
 
     N = 2 * _ROW_BLOCK + 5
     # groups of one partial block, of one block and a row, of two whole
@@ -946,6 +947,27 @@ class TestMemory:
                 tracemalloc.stop()
         bound = (192 + 256 + 64) * maps
         assert bwd <= bound, f"backward peak {bwd / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
+
+    def test_paper_width_forward_working_set(self):
+        """At paper_scale's widths and N = 128 (tracemalloc): the forward's
+        peak is at most what it returns, the output (N x 320 maps) and the
+        cache's phi, psi and g_pre (N x 192), plus half a g-branch map
+        (N x 32). The g-branch's ReLU map is freed before the N x N stages."""
+        cfg = NlRoiConfig(d=256, d_f=64, d_mid=64, d_g=64, h=7, w=7)
+        n, maps = 128, 128 * 49 * 8
+        x, params = random_case(144, n, cfg)
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            nlroi_forward(x, params, cfg)
+            fwd = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        bound = (320 + 192 + 32) * maps
+        assert fwd <= bound, f"forward peak {fwd / 2**20:.2f} MiB > {bound / 2**20:.2f} MiB"
 
 
 class TestParamsContainer:

@@ -8,7 +8,7 @@ gradcheck, permutation equivariance, the oracle and a weights round trip.
 Each run here is a short one in a copy of the checkout, so the report it
 writes stays out of the source tree. The traced runs call every op through
 the tracer's wrappers; the large_n one is the only run of them over the
-masked, multi-block softmax and its VJP.
+masked softmax and its multi-block VJP.
 """
 
 import json
