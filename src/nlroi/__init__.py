@@ -11,7 +11,6 @@ from .errors import (
     DivergenceError,
     InsufficientDataError,
     NumericalError,
-    ResourceError,
     WeightsCorruptionError,
     WeightsFormatError,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "NlRoiParams",
     "NumericalError",
     "Prng",
-    "ResourceError",
     "Scaling",
     "Scene",
     "SceneSpec",

@@ -10,6 +10,7 @@ checked property holds), 1 internal error or failed check precondition,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .bench import DEFAULT_SWEEP, MIN_REPS, emit_csv, fit_scaling_exponent, run_bench
@@ -31,34 +32,30 @@ ORACLE_TOL = 1e-9
 
 
 def _load_config(args) -> ConfigFile:
-    if args.config is None:
-        return parse_config("")
-    with open(args.config, "rb") as fh:
-        data = fh.read()
+    """The ``--config`` file (or the defaults) with ``--seed`` as its seed."""
+    data = b""
+    if args.config is not None:
+        with open(args.config, "rb") as fh:
+            data = fh.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # the line of the bad byte, as parse_config's splitlines counts lines
         ln = len((data[: exc.start].decode("utf-8") + "_").splitlines())
         raise ConfigError(f"line {ln}: byte {data[exc.start]:#04x} is not UTF-8") from None
-    return parse_config(text)
+    cfg = parse_config(text)
+    return cfg if args.seed is None else dataclasses.replace(cfg, seed=args.seed)
 
 
-def _seed(args, cfg: ConfigFile) -> int:
-    return cfg.seed if args.seed is None else args.seed
-
-
-def _cmd_gradcheck(args) -> int:
-    cfg = _load_config(args)
-    report = check_all_gradients(cfg.nlroi, seed=_seed(args, cfg), n=cfg.spec.n)
+def _cmd_gradcheck(args, cfg: ConfigFile) -> int:
+    report = check_all_gradients(cfg.nlroi, seed=cfg.seed, n=cfg.spec.n)
     print(format_report(report), file=sys.stderr)
     print(summary_line(report))
     return 0 if report.passed else 1
 
 
-def _cmd_bench(args) -> int:
-    cfg = _load_config(args)
-    records = run_bench(DEFAULT_SWEEP, reps=args.reps, seed=_seed(args, cfg))
+def _cmd_bench(args, cfg: ConfigFile) -> int:
+    records = run_bench(DEFAULT_SWEEP, reps=args.reps, seed=cfg.seed)
     if args.out is None:
         emit_csv(records, sys.stdout)
     else:
@@ -73,8 +70,7 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    cfg = _load_config(args)
+def _cmd_train(args, cfg: ConfigFile) -> int:
     nl_config = cfg.nlroi if args.variant == "nlroi" else None
 
     def log(step, loss):
@@ -85,7 +81,7 @@ def _cmd_train(args) -> int:
         cfg.spec,
         nl_config,
         cfg.hyper,
-        seed=_seed(args, cfg),
+        seed=cfg.seed,
         log_fn=log,
     )
     save_weights(args.out, model.tensors())
@@ -93,13 +89,12 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    cfg = _load_config(args)
+def _cmd_eval(args, cfg: ConfigFile) -> int:
     named = load_weights(args.weights)
     for name, value in named.items():
         require_finite(value, f"weights tensor {name!r}")
     model = ToyModel.from_named(cfg.spec, cfg.nlroi if "w_phi" in named else None, named)
-    acc = evaluate(model, scenes=args.scenes, seed=_seed(args, cfg))
+    acc = evaluate(model, scenes=args.scenes, seed=cfg.seed)
     print(f"ACCURACY {acc:.6f}")
     return 0
 
@@ -125,12 +120,11 @@ def _random_oracle_case(prng: Prng, index: int):
     return x, params, config
 
 
-def _cmd_oracle_diff(args) -> int:
+def _cmd_oracle_diff(args, cfg: ConfigFile) -> int:
     import numpy as np
 
-    cfg = _load_config(args)
     require_size("count", args.count, 1)
-    prng = Prng(_seed(args, cfg))
+    prng = Prng(cfg.seed)
     worst, where = 0.0, None
     for i in range(args.count):
         x, params, config = _random_oracle_case(prng, i)
@@ -147,9 +141,8 @@ def _cmd_oracle_diff(args) -> int:
     return 0 if worst < ORACLE_TOL else 1
 
 
-def _cmd_init(args) -> int:
-    cfg = _load_config(args)
-    prng = Prng(_seed(args, cfg))
+def _cmd_init(args, cfg: ConfigFile) -> int:
+    prng = Prng(cfg.seed)
     nl_config = cfg.nlroi if args.variant == "nlroi" else None
     model = init_model(cfg.spec, nl_config, prng)
     save_weights(args.out, model.tensors())
@@ -212,11 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # the package's own errors and failed file access exit 1; anything else
-    # is a bug and propagates
+    # the package's own errors, failed file access and a failed allocation
+    # exit 1; anything else is a bug and propagates
     try:
-        return args.fn(args)
-    except (NlRoiError, OSError) as exc:
+        return args.fn(args, _load_config(args))
+    except (NlRoiError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,12 +7,12 @@ every error message carries the offending line number.
 
 ``parse_config`` builds the library's own objects, a ``SceneSpec``, an
 ``NlRoiConfig`` and a ``Hyper``, so a file is valid or invalid whatever
-command reads it. The parser checks only the file's own rules: syntax,
-keys, and the seed's 64-bit range. Every other rule belongs to the
-constructor that owns it; its ConfigError names the field it rejects,
-and the parser puts that key's line in front (``k_classes`` is the file's
-spelling of ``SceneSpec.k``). A rule between a default and a given value
-names the given value's line.
+command reads it. The parser checks only the file's own rules: syntax
+and keys. Every value rule belongs to the constructor that owns it, the
+seed's 64-bit range to ``ConfigFile`` itself; its ConfigError names the
+field it rejects, and the parser puts that key's line in front
+(``k_classes`` is the file's spelling of ``SceneSpec.k``). A rule between
+a default and a given value names the given value's line.
 
 Defaults when a key is absent: n = 8, d = 16, h = w = 3, k_classes = 4,
 seed 0, and bottleneck widths that derive from the input width (d_f = d_g
@@ -47,15 +47,18 @@ class ConfigFile:
     nlroi: NlRoiConfig
     hyper: Hyper
 
+    def __post_init__(self):
+        if not 0 <= self.seed < 1 << 64:
+            raise ConfigError(
+                f"seed must fit in 64 bits (0 <= seed < 2**64), got {self.seed}", "seed"
+            )
+
 
 def _parse_int(key, raw, ln):
     try:
-        v = int(raw, 10)
+        return int(raw, 10)
     except ValueError:
         raise ConfigError(f"line {ln}: {key} expects an integer, got {raw!r}") from None
-    if key == "seed" and not 0 <= v < 1 << 64:
-        raise ConfigError(f"line {ln}: seed must fit in 64 bits (0 <= seed < 2**64), got {v}")
-    return v
 
 
 def _parse_float(key, raw, ln):
@@ -129,4 +132,4 @@ def parse_config(text: str) -> ConfigFile:
         Hyper, lines,
         **given("learning_rate", "momentum", "weight_decay", "steps", "scenes_per_step"),
     )
-    return ConfigFile(seed=seen.get("seed", 0), spec=spec, nlroi=nlroi, hyper=hyper)
+    return _build(ConfigFile, lines, seed=seen.get("seed", 0), spec=spec, nlroi=nlroi, hyper=hyper)

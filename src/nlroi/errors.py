@@ -1,7 +1,8 @@
 """Exception types shared across the package. Each derives from its builtin
 base and then from ``NlRoiError``, so ``except ValueError`` still catches a
 ``DimensionError`` and one clause catches every class here. Two rules that
-several modules apply live here too: ``require_size`` and ``require_finite``."""
+several modules apply live here too: ``require_size`` and ``require_finite``.
+A failed allocation stays NumPy's ``MemoryError``, which the CLI handles too."""
 
 import numpy as np
 
@@ -54,12 +55,12 @@ class WeightsCorruptionError(WeightsFormatError):
 
 
 class DivergenceError(RuntimeError, NlRoiError):
-    """Training produced a non-finite loss."""
+    """Training diverged at ``step``: ``what`` names the non-finite value,
+    the step's loss or a value that its forward or backward computed."""
 
-    def __init__(self, step: int, loss: float):
-        super().__init__(f"non-finite loss {loss!r} at step {step}")
+    def __init__(self, step: int, what: str):
+        super().__init__(f"training diverged at step {step}: {what}")
         self.step = step
-        self.loss = loss
 
 
 class NumericalError(ArithmeticError, NlRoiError):
@@ -69,7 +70,3 @@ class NumericalError(ArithmeticError, NlRoiError):
 
 class InsufficientDataError(ValueError, NlRoiError):
     """Not enough data points for the requested fit."""
-
-
-class ResourceError(RuntimeError, NlRoiError):
-    """An allocation failed (e.g. an oversized benchmark tuple)."""

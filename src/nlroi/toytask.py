@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, DimensionError, DivergenceError, require_size
+from .errors import ConfigError, DimensionError, DivergenceError, NumericalError, require_size
 from .operator import (
     NlRoiConfig,
     NlRoiParams,
@@ -267,7 +267,8 @@ def train(
     The loss and gradients average over the step's scenes, each scene's
     loss being the mean CE over its RoIs. A step draws its scenes in order
     and makes one forward and one backward over all of them. Returns
-    (model, per-step losses). Raises DivergenceError on a non-finite loss.
+    (model, per-step losses). Raises DivergenceError naming the step on a
+    non-finite loss or on a NumericalError of its operator calls.
     ``log_fn(step, loss)`` fires every ``log_every`` steps (1-based).
 
     The model's tensors are views of one flat float64 buffer, in
@@ -297,21 +298,25 @@ def train(
 
     losses = []
     for step in range(1, hyper.steps + 1):
-        pooled, labels, cache = _head_inputs(model, prng, hyper.scenes_per_step)
-        loss, d_logits = _cross_entropy(head_logits(model, pooled), labels, spec.n)
-        step_loss = loss / hyper.scenes_per_step
-        losses.append(step_loss)
-        # before the backward, which rejects the non-finite upstream a
-        # diverged step brings
-        if not np.isfinite(step_loss):
-            raise DivergenceError(step, step_loss)
-        grads = [d_logits.T @ pooled, np.sum(d_logits, axis=0)]
-        if cache is not None:
-            # the pool's VJP: each row's gradient spread evenly over H x W
-            d_pooled = d_logits @ model.w_head / (spec.h * spec.w)
-            d_feats = ops.tile_spatial(d_pooled, spec.h, spec.w)
-            _, d_nlroi = nlroi_backward(cache, model.nlroi_params, model.nlroi_config, d_feats)
-            grads += [g for _, g in d_nlroi.tensors()]
+        try:
+            pooled, labels, cache = _head_inputs(model, prng, hyper.scenes_per_step)
+            loss, d_logits = _cross_entropy(head_logits(model, pooled), labels, spec.n)
+            step_loss = loss / hyper.scenes_per_step
+            losses.append(step_loss)
+            # before the backward, which rejects the non-finite upstream a
+            # diverged step brings
+            if not np.isfinite(step_loss):
+                raise DivergenceError(step, f"non-finite loss {step_loss!r}")
+            grads = [d_logits.T @ pooled, np.sum(d_logits, axis=0)]
+            if cache is not None:
+                # the pool's VJP: each row's gradient spread evenly over H x W
+                d_pooled = d_logits @ model.w_head / (spec.h * spec.w)
+                d_feats = ops.tile_spatial(d_pooled, spec.h, spec.w)
+                _, d_nlroi = nlroi_backward(cache, model.nlroi_params, model.nlroi_config, d_feats)
+                grads += [g for _, g in d_nlroi.tensors()]
+        except NumericalError as exc:
+            # the operator's checks meet non-finite weights before the loss does
+            raise DivergenceError(step, str(exc)) from exc
         grad = np.concatenate(grads, axis=None)
         velocity *= hyper.momentum
         velocity += grad / hyper.scenes_per_step + hyper.weight_decay * flat

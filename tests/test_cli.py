@@ -322,9 +322,9 @@ class TestErrorPaths:
     @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
     def test_every_package_error_exits_one(self, capsys, monkeypatch, cls):
         """The handler catches every class of nlroi.errors without naming it."""
-        exc = cls(3, float("nan")) if cls is errors.DivergenceError else cls("boom")
+        exc = cls(3, "boom") if cls is errors.DivergenceError else cls("boom")
 
-        def fail(args):
+        def fail(args, cfg):
             raise exc
 
         monkeypatch.setattr(cli, "_cmd_init", fail)
@@ -333,8 +333,22 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err == f"error: {exc}\n"
 
+    def test_failed_allocation_exits_one(self, capsys, monkeypatch):
+        """Any command's failed allocation is a handled error with NumPy's
+        message, not a traceback."""
+        message = "Unable to allocate 7.45 GiB for an array with shape (100000000, 10)"
+
+        def fail(args, cfg):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "_cmd_train", fail)
+        assert main(["train", "--variant", "nlroi"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_other_errors_propagate(self, monkeypatch):
-        def fail(args):
+        def fail(args, cfg):
             raise KeyError("bug")
 
         monkeypatch.setattr(cli, "_cmd_init", fail)
@@ -382,6 +396,30 @@ class TestErrorPaths:
             rc = main(["init", "--config", str(p), "--out", str(out)])
             err = capsys.readouterr().err
             assert rc == 0 or (rc == 1 and err.startswith("error: ")), (case, rc, err)
+
+    @pytest.mark.parametrize("seed", [2**64, -1])
+    def test_seed_flag_outside_64_bits_exits_one(self, tmp_path, capsys, seed):
+        out = tmp_path / "w.bin"
+        assert main(["init", "--seed", str(seed), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: seed must fit in 64 bits (0 <= seed < 2**64), got {seed}\n"
+        )
+        assert not out.exists()
+
+    def test_seed_flag_takes_the_files_seed_rule(self, tmp_path, capsys):
+        """At the top of the 64-bit range and one past it, ``--seed`` and a
+        file's ``seed`` give the same exit code; the top seed writes the
+        same bytes either way."""
+        p, by_file, by_flag = tmp_path / "seed.cfg", tmp_path / "a.bin", tmp_path / "b.bin"
+        for seed in (2**64 - 1, 2**64):
+            p.write_text(f"seed = {seed}\n")
+            rc_file = main(["init", "--config", str(p), "--out", str(by_file)])
+            rc_flag = main(["init", "--seed", str(seed), "--out", str(by_flag)])
+            assert (rc_flag, rc_file) == ((0, 0) if seed < 2**64 else (1, 1))
+        capsys.readouterr()
+        assert by_flag.read_bytes() == by_file.read_bytes()
 
     def test_non_utf8_config_names_the_line(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nlroi import ops, toytask
-from nlroi.errors import ConfigError, DimensionError, DivergenceError
+from nlroi.errors import ConfigError, DimensionError, DivergenceError, NumericalError
 from nlroi.operator import NlRoiConfig, nlroi_backward, nlroi_forward
 from nlroi.rng import Prng
 from nlroi.toytask import (
@@ -590,6 +590,17 @@ class TestTrain:
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(DivergenceError):
                 train("nlroi", SPEC, OP, hyper, seed=84)
+
+    def test_divergence_in_the_operator_names_its_step(self):
+        """Step 1's update makes the operator's weights non-finite, and step
+        2's forward check meets them before any loss is computed."""
+        hyper = Hyper(learning_rate=1e308, steps=5)
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(DivergenceError) as exc:
+                train("nlroi", SPEC, OP, hyper, seed=0)
+        assert exc.value.step == 2
+        assert isinstance(exc.value.__cause__, NumericalError)
+        assert str(exc.value) == f"training diverged at step 2: {exc.value.__cause__}"
 
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
