@@ -71,19 +71,11 @@ def _cmd_bench(args, cfg: ConfigFile) -> int:
 
 
 def _cmd_train(args, cfg: ConfigFile) -> int:
-    nl_config = cfg.nlroi if args.variant == "nlroi" else None
-
     def log(step, loss):
         print(f"step={step} loss={loss:.6f}", file=sys.stderr)
 
-    model, _ = train(
-        args.variant,
-        cfg.spec,
-        nl_config,
-        cfg.hyper,
-        seed=cfg.seed,
-        log_fn=log,
-    )
+    # train drops the operator config for the baseline itself
+    model, _ = train(args.variant, cfg.spec, cfg.nlroi, cfg.hyper, seed=cfg.seed, log_fn=log)
     save_weights(args.out, model.tensors())
     print(f"saved {args.variant} weights to {args.out}", file=sys.stderr)
     return 0

@@ -9,8 +9,9 @@ every error message carries the offending line number.
 ``NlRoiConfig`` and a ``Hyper``, so a file is valid or invalid whatever
 command reads it. The parser checks only the file's own rules: syntax
 and keys. Every value rule belongs to the constructor that owns it, the
-seed's 64-bit range to ``ConfigFile`` itself; its ConfigError names the
-field it rejects, and the parser puts that key's line in front
+seed's 64-bit range and the size rule across the three objects to
+``ConfigFile`` itself; its ConfigError names the field it rejects (the
+largest size first), and the parser puts that key's line in front
 (``k_classes`` is the file's spelling of ``SceneSpec.k``). A rule between
 a default and a given value names the given value's line.
 
@@ -52,6 +53,18 @@ class ConfigFile:
             raise ConfigError(
                 f"seed must fit in 64 bits (0 <= seed < 2**64), got {self.seed}", "seed"
             )
+        # every array a command builds (a step's blob, scores and PRNG block, the
+        # weights) then holds under 16 * 2**55 values, and a row of the canonical
+        # sort (operator._row_keys) is one NumPy void of under 2**31 bytes
+        s, c, steps = self.spec, self.nlroi, self.hyper.scenes_per_step
+        area, width = c.h * c.w, s.n + s.k + c.d + c.d_f + c.d_mid + c.d_g + 9
+        if (s.n * steps + width) * width * area >= 1 << 55 or (c.d + c.d_g) * area >= 1 << 28:
+            sizes = dict(n=s.n, h=c.h, w=c.w, d=c.d, d_f=c.d_f, d_mid=c.d_mid, d_g=c.d_g,
+                         k=s.k, scenes_per_step=steps)
+            top = sorted(sizes, key=sizes.get, reverse=True)
+            raise ConfigError(f"{top[0]} = {sizes[top[0]]} is too large: (d + d_g) * h * w must "
+                              "be below 2**28 and (n * scenes_per_step + W) * W * h * w below "
+                              "2**55, W = n + k_classes + d + d_f + d_mid + d_g + 9", *top)
 
 
 def _parse_int(key, raw, ln):

@@ -24,17 +24,16 @@ stack, so each group keeps one N x N stack, the raw scores that become
 the weights; the backward walks blocks of ``_ROW_BLOCK`` rows of it and
 makes no whole N x N gradient.
 
-The N x N stages and their VJPs run in a canonical RoI order: each image's
+Everything summed over RoIs runs in a canonical RoI order: each image's
 RoIs sorted by content (``_canonical_order``, one lexsort per run of
-equal-count images). Relabeling an image's RoIs hands these stages the
-same arrays, so they may use any deterministic kernel, BLAS for the mix
-included, and the forward and the input gradient dX are bitwise
-permutation-equivariant. RoIs with equal bytes are identical; they get
-identical outputs wherever the sort puts them, and identical dX where
+equal-count images). Relabeling an image's RoIs hands the N x N stages,
+their VJPs and the parameter gradients' sums the same arrays, so these
+may use any deterministic kernel, BLAS included: the forward and the
+input gradient dX are bitwise permutation-equivariant, and the parameter
+gradients bitwise invariant. RoIs with equal bytes are identical; they
+get identical outputs wherever the sort puts them, and identical dX where
 their upstream rows are equal too: the backward sorts with the same
-function, by the RoIs and then by their upstream rows. The parameter
-gradients sum over the RoIs in call order: they are deterministic, but a
-relabeling can move their last bits.
+function, by the RoIs and then by their upstream rows.
 
 Two scaling modes divide the raw dot products: the square root of the
 channel count D_f (per-channel, the default) or of the full flattened
@@ -558,18 +557,18 @@ def nlroi_backward(
 
     dX is the concat pass-through plus one stacked 1x1 VJP: phi, psi and
     g1 read the same x, so their upstreams share one buffer and one call
-    gives their dX as one product per RoI. The mix, softmax and score VJPs
-    run per group of the cache in the forward's canonical order, on blocks
-    of each image's rows (``_group_vjp``), and so does the pooled 3x3
-    conv's VJP; their results go back to call order once per tensor, the
-    ReLU VJP's straight into the stacked upstream. At paper widths the
-    backward's peak beside the cache is at most that upstream, dX and one
-    (N, D_mid, H, W) map (``TestMemory`` bounds it). A non-finite
-    ``d_out`` raises NumericalError. When the forward found twins,
-    ``_canonical_order`` sorts again by x and then by ``d_out``, which
-    puts each run of twins in an order of its own, and twins whose
-    upstream rows are equal too get the dX of the first of them. Parameter
-    gradients are summed over every image of the call.
+    gives their dX as one product per RoI, and their dW and db as sums in
+    canonical order. The mix, softmax and score VJPs run per group of the
+    cache in that order, on blocks of each image's rows (``_group_vjp``),
+    and so does the pooled 3x3 conv's VJP; their results go back to call
+    order once per tensor, the ReLU VJP's straight into the stacked
+    upstream. At paper widths the backward's peak beside the cache is at
+    most that upstream, dX and one (N, D_mid, H, W) map (``TestMemory``
+    bounds it). A non-finite ``d_out`` raises NumericalError. When the
+    forward found twins, ``_canonical_order`` sorts again by x and then by
+    ``d_out``, which puts each run of twins in an order of its own, and
+    twins whose upstream rows are equal too get the dX of the first of
+    them. The parameter gradients sum over every image, in that order.
     """
     if config is not cache.config and config != cache.config:
         raise ConfigError(f"backward config {config} differs from the forward's {cache.config}")
@@ -623,7 +622,7 @@ def nlroi_backward(
     del g_post, d_g_canon  # not held through the stacked 1x1 VJP
 
     w_emb = np.concatenate([params.w_phi, params.w_psi, params.w_g1])
-    d_x, d_w, d_b = ops.conv2d_1x1_vjp(x, w_emb, d_emb)
+    d_x, d_w, d_b = ops.conv2d_1x1_vjp(x, w_emb, d_emb, order)
     d_x += d_x_pass
     # twins with equal upstream rows may still round differently by place
     for (row, _, _), twin in zip(cache.groups, twins):

@@ -58,14 +58,11 @@ result's bits (at paper widths and 128 RoIs only the weight gradient of
 BLAS (``@``; the softmax VJP's row dot too, one BLAS dot per row) and sum
 with ``ufunc.reduce`` (the bits of ``np.sum`` and ``np.max``, without
 their Python wrappers). Sums over RoIs (the weight and bias gradients)
-take the RoIs in the order given, so reordering the RoIs can change their
-last bits: a BLAS reduction's order depends on the operands' sizes and on
-where an element falls in the blocking. ``conv2d_1x1_vjp`` takes its
-weight gradient as a sum of one GEMM per chunk of consecutive RoIs, in
-call order, each chunk at most ``_DW_CHUNK_VALUES`` values of X; so its
-bits also follow the chunk bounds, which depend only on the shapes. A
-stack that fits one chunk (the toy and large_n ones) gets the bits of one
-GEMM over all RoIs.
+take the RoIs in the order given, as reordering them can change their
+last bits (a BLAS reduction's order follows the operands' sizes and the
+blocking): ``conv2d_1x1_vjp`` sums in the ``order`` it is passed, the
+pooled 3x3 VJP in row order. The operator gives both its canonical order,
+so no relabeling of the RoIs moves a parameter gradient.
 
 A VJP result may be a view of its upstream gradient (``concat_channels_vjp``
 returns the two channel slices of ``d_out``), so a caller that writes into
@@ -147,32 +144,30 @@ def conv2d_1x1(x: np.ndarray, w: np.ndarray, b) -> np.ndarray:
     return out.reshape(n, cout, h, wd)
 
 
-def _weight_grad(g: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """(Cout, Cin): one GEMM over all (RoI, position) pairs of g (n, Cout,
-    P) and xs (n, Cin, P), (Cout, n*P) @ (n*P, Cin)."""
-    n, cout, p = g.shape
-    g_cols = g.transpose(1, 0, 2).reshape(cout, n * p)
-    x_cols = xs.transpose(1, 0, 2).reshape(xs.shape[1], n * p)
-    return g_cols @ x_cols.T
-
-
-def conv2d_1x1_vjp(x: np.ndarray, w: np.ndarray, d_out: np.ndarray):
-    """dW sums one ``_weight_grad`` per chunk of consecutive RoIs in call
-    order, the first chunk starting the sum; a chunk holds at most
-    ``_DW_CHUNK_VALUES`` values of X (at least one RoI), so the GEMM's
-    transposed copies stay that small. dX, one identical BLAS call per RoI,
-    is formed after dW, once the copies are freed: beyond its arguments the
-    call holds dX or one chunk's copies, never both."""
+def conv2d_1x1_vjp(x: np.ndarray, w: np.ndarray, d_out: np.ndarray, order: np.ndarray):
+    """dW and db sum over the RoIs in ``order``, a permutation of the rows,
+    in chunks of consecutive entries of it, from a zero: each chunk holds at
+    most ``_DW_CHUNK_VALUES`` values of X (at least one RoI) and adds one
+    GEMM over its (RoI, position) pairs to dW and the row sums of the same
+    gathered upstream to db. The gather writes straight into the transposed
+    layout that the GEMM reads, one copy per operand. dX, one identical BLAS
+    call per RoI, is formed after dW, once the copies are freed: beyond its
+    arguments the call holds dX or one chunk's copies, never both."""
     n, cin, h, wd = x.shape
     cout = w.shape[0]
     g = d_out.reshape(n, cout, h * wd)
     xs = x.reshape(n, cin, h * wd)
     step = max(1, _DW_CHUNK_VALUES // (cin * h * wd))
-    dw = _weight_grad(g[:step], xs[:step])  # zeros when there are no RoIs
-    for a in range(step, n, step):
-        dw += _weight_grad(g[a : a + step], xs[a : a + step])
+    g_t, x_t = g.transpose(1, 0, 2), xs.transpose(1, 0, 2)  # (C, N, positions) views
+    dw, db = np.zeros((cout, cin)), np.zeros(cout)
+    for a in range(0, n, step):
+        rois = order[a : a + step]
+        # (channel, RoI) index pairs gather in the GEMM's layout: one C-order copy
+        g_cols = g_t[np.arange(cout)[:, None], rois].reshape(cout, -1)
+        dw += g_cols @ x_t[np.arange(cin)[:, None], rois].reshape(cin, -1).T
+        db += np.add.reduce(g_cols, axis=1)
+        del g_cols  # no chunk copy is held while dX forms
     dx = (w.T @ g).reshape(n, cin, h, wd)
-    db = np.add.reduce(d_out, axis=(0, 2, 3))
     return dx, dw, db
 
 

@@ -253,6 +253,7 @@ class Hyper:
             require_size(name, getattr(self, name), least)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging run reports only its DivergenceError
 def train(
     variant: str,
     spec: SceneSpec,

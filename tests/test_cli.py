@@ -378,6 +378,28 @@ class TestErrorPaths:
         assert "line 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, line, key, value", [
+        ("n = 99999999999999999999999\n", 1, "n", 99999999999999999999999),
+        ("d = 8\nh = 99999999999999999999999\n", 2, "h", 99999999999999999999999),
+        # each size fits in 31 bits, the blob's N*D*H*W values do not fit in 2**63 bytes
+        ("n = 70000\nd = 64\nh = 50000\nw = 60000\n", 1, "n", 70000),
+        # a RoI of 2**31 bytes or more has no NumPy void to sort it by
+        ("d = 1024\nh = 512\nw = 512\n", 1, "d", 1024),
+    ], ids=["n", "h", "blob", "roi_bytes"])
+    def test_sizes_past_numpys_range_name_their_key(self, tmp_path, capsys, text, line, key, value):
+        """A config whose arrays cannot exist fails when it is read, in every
+        command that reads it: exit 1 with the largest size's line and key,
+        nothing written and no traceback."""
+        p, out = tmp_path / "big.cfg", tmp_path / "w.bin"
+        p.write_text(text)
+        for argv in (["init", "--out", str(out)], ["train", "--variant", "nlroi", "--out", str(out)],
+                     ["gradcheck"], ["eval", "--weights", str(out), "--scenes", "1"]):
+            assert main(argv + ["--config", str(p)]) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: line {line}: {key} = {value} is too large"), argv
+            assert not out.exists()
+
     def test_damaged_config_bytes_exit_cleanly(self, tmp_path, capsys):
         """Each byte of a valid config replaced in turn by 0xff, by '9' and by
         NUL, and 20 seeded random byte strings: ``init`` exits 0, or exits 1

@@ -623,8 +623,9 @@ def twin_blob(cfg, seed, picks, signed_zero=()):
 
 
 class TestCanonicalOrder:
-    """The N x N stages run in one canonical RoI order, so the forward and
-    dX are bitwise permutation-equivariant, also when RoIs repeat."""
+    """Everything summed over RoIs runs in one canonical RoI order, so the
+    forward and dX are bitwise permutation-equivariant and the 7 parameter
+    gradients bitwise invariant, also when RoIs repeat."""
 
     def check(self, x, params, cfg, counts=None, seed=0, shuffles=10, up=None):
         n = x.shape[0]
@@ -634,15 +635,34 @@ class TestCanonicalOrder:
                 n, cfg.d + cfg.d_g, cfg.h, cfg.w
             )
         out, cache = nlroi_forward(x, params, cfg, counts=counts)
-        dx, _ = nlroi_backward(cache, params, cfg, up)
+        dx, grads = nlroi_backward(cache, params, cfg, up)
         prng = Prng(seed + 1)
         for _ in range(shuffles):
             pi = shuffled_within_images(prng, counts)
             out_p, cache_p = nlroi_forward(x[pi], params, cfg, counts=counts)
-            dx_p, _ = nlroi_backward(cache_p, params, cfg, up[pi])
+            dx_p, grads_p = nlroi_backward(cache_p, params, cfg, up[pi])
             assert out_p.tobytes() == out[pi].tobytes()
             assert dx_p.tobytes() == dx[pi].tobytes()
+            for (name, g), (_, g_p) in zip(grads.tensors(), grads_p.tensors()):
+                assert g_p.tobytes() == g.tobytes(), name
         return out, cache
+
+    def test_parameter_gradients_ignore_relabeling(self):
+        """Ragged counts with an empty image and a twin pair, and two images
+        at paper widths, whose stacked 1x1 VJP sums dW over 5 chunks that
+        straddle the images: relabeling each image's RoIs, with the
+        upstream rows relabeled the same way, moves no bit of the 7
+        gradients, in both masking modes."""
+        paper = dict(d=256, d_f=64, d_mid=64, d_g=64, h=7, w=7)
+        for attend in (True, False):
+            cfg = small_config(attend_to_self=attend)
+            _, params = random_case(124, 1, cfg)
+            x = twin_blob(cfg, 125, (0, 1, 2, 1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14))
+            self.check(x, params, cfg, counts=(5, 8, 0, 3), seed=126, shuffles=3)
+            wide = NlRoiConfig(**paper, attend_to_self=attend)
+            x, params = random_case(127, 100, wide)
+            assert 20 * 256 * 49 <= ops._DW_CHUNK_VALUES < 21 * 256 * 49
+            self.check(x, params, wide, counts=(40, 60), seed=128, shuffles=3)
 
     def test_dx_one_image(self):
         for attend in (True, False):

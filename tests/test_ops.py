@@ -5,6 +5,7 @@ triple loop for matmul, a six-nested loop for the 3x3 convolution, and
 central finite differences for every backward pass.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -396,7 +397,7 @@ class TestVjps:
         w = prng.normals(2 * 4).reshape(2, 4)
         b = prng.normals(2)
         up = prng.normals(3 * 2 * 5 * 5).reshape(3, 2, 5, 5)
-        dx, dw, db = ops.conv2d_1x1_vjp(x, w, up)
+        dx, dw, db = ops.conv2d_1x1_vjp(x, w, up, np.array([2, 0, 1]))
         f = ops.conv2d_1x1
         assert max_rel(dx, fd_grad(lambda v: np.sum(f(v, w, b) * up), x)) < 1e-6
         assert max_rel(dw, fd_grad(lambda v: np.sum(f(x, v, b) * up), w)) < 1e-6
@@ -421,8 +422,9 @@ class TestVjps:
         x = prng.normals(5 * 32 * 7 * 5).reshape(5, 32, 7, 5)
         up = prng.normals(x.size).reshape(x.shape)
         bias = np.zeros(32)
+        conv1x1_vjp = functools.partial(ops.conv2d_1x1_vjp, order=np.array([3, 1, 4, 0, 2]))
         for conv, conv_vjp, w_shape, upstream in (
-            (ops.conv2d_1x1, ops.conv2d_1x1_vjp, (32, 32), up),
+            (ops.conv2d_1x1, conv1x1_vjp, (32, 32), up),
             (ops.conv2d_3x3_pooled, ops.conv2d_3x3_pooled_vjp, (32, 32, 3, 3), up[:, :, 0, 0]),
         ):
             w = prng.normals(math.prod(w_shape)).reshape(w_shape)
@@ -434,7 +436,8 @@ class TestVjps:
     def test_conv1x1_vjp_of_stacked_weights_is_the_stack_of_vjps(self):
         """The operator's one VJP for phi, psi and g1: with the weights and
         upstreams stacked by rows, dX is the sum of the three dXs and dW, db
-        are their stacks. Toy widths, paper widths and no RoIs."""
+        are their stacks. Toy widths, paper widths and no RoIs, each summed
+        in a reversed order."""
 
         def scaled(a, b):
             """Largest difference relative to the largest magnitude of b."""
@@ -448,8 +451,11 @@ class TestVjps:
             x = prng.normals(n * cin * hw * hw).reshape(n, cin, hw, hw)
             ws = [prng.normals(c * cin).reshape(c, cin) for c in couts]
             ups = [prng.normals(n * c * hw * hw).reshape(n, c, hw, hw) for c in couts]
-            dx, dw, db = ops.conv2d_1x1_vjp(x, np.concatenate(ws), np.concatenate(ups, axis=1))
-            parts = [ops.conv2d_1x1_vjp(x, w, up) for w, up in zip(ws, ups)]
+            order = np.arange(n)[::-1]
+            dx, dw, db = ops.conv2d_1x1_vjp(
+                x, np.concatenate(ws), np.concatenate(ups, axis=1), order
+            )
+            parts = [ops.conv2d_1x1_vjp(x, w, up, order) for w, up in zip(ws, ups)]
             assert dx.shape == x.shape and dw.shape == (sum(couts), cin) and db.shape == (sum(couts),)
             assert scaled(dx, sum(p[0] for p in parts)) <= 1e-12
             assert scaled(dw, np.concatenate([p[1] for p in parts])) <= 1e-12
@@ -458,36 +464,55 @@ class TestVjps:
                 assert not np.any(dw) and not np.any(db)
 
     def test_conv1x1_vjp_dw_in_chunks_matches_one_gemm(self, monkeypatch):
-        """dW summed over RoI chunks against the one GEMM over all (RoI,
-        position) pairs: bitwise where one chunk holds every RoI (the toy
-        and large_n stacks), within 1e-12 relative where it does not
-        (paper_scale's stack, 20 RoIs a chunk, and 3-RoI chunks of 7)."""
+        """dW and db sum over the RoIs in the order given, in chunks of
+        consecutive entries of it. Where one chunk holds every RoI (the toy
+        and large_n stacks) they are bitwise one GEMM over the columns in
+        that order, and the row sums of its upstream columns; with 3-RoI
+        chunks of 7 they are bitwise a sum from zero of one such GEMM per
+        chunk, so relabeling the RoIs, with the order relabeled too, moves
+        no bit. paper_scale's stack (20 RoIs a chunk) matches one GEMM to
+        1e-12."""
 
-        def one_gemm(x, d_out):
+        def one_gemm(x, d_out, rois):
             n, cin, h, wd = x.shape
-            g_cols = d_out.reshape(n, -1, h * wd).transpose(1, 0, 2).reshape(-1, n * h * wd)
-            x_cols = x.reshape(n, cin, h * wd).transpose(1, 0, 2).reshape(cin, n * h * wd)
-            return g_cols @ x_cols.T
+            g_cols = d_out[rois].transpose(1, 0, 2, 3).reshape(-1, len(rois) * h * wd)
+            x_cols = x[rois].transpose(1, 0, 2, 3).reshape(cin, len(rois) * h * wd)
+            return g_cols @ x_cols.T, np.add.reduce(g_cols, axis=1)
 
-        def dw_case(n, cin, cout, hw, seed):
+        def case(n, cin, cout, hw, seed):
             prng = Prng(seed)
             x = prng.normals(n * cin * hw * hw).reshape(n, cin, hw, hw)
             w = prng.normals(cout * cin).reshape(cout, cin)
             up = prng.normals(n * cout * hw * hw).reshape(n, cout, hw, hw)
-            return ops.conv2d_1x1_vjp(x, w, up)[1], one_gemm(x, up)
+            order = np.array(prng.sample_indices(n, n))
+            return x, w, up, order
+
+        def grads(x, w, up, order):
+            return ops.conv2d_1x1_vjp(x, w, up, order)[1:]
 
         for n, cin, cout, hw in ((64, 16, 12, 3), (1024, 8, 12, 4)):
             assert n * cin * hw * hw <= ops._DW_CHUNK_VALUES
-            got, want = dw_case(n, cin, cout, hw, 40 + n)
-            assert got.tobytes() == want.tobytes(), (n, cin)
-
-        def assert_close(got, want):
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            x, w, up, order = case(n, cin, cout, hw, 40 + n)
+            for got, want in zip(grads(x, w, up, order), one_gemm(x, up, order)):
+                assert got.tobytes() == want.tobytes(), (n, cin)
 
         assert 128 * 256 * 49 > ops._DW_CHUNK_VALUES
-        assert_close(*dw_case(128, 256, 192, 7, 41))
+        x, w, up, order = case(128, 256, 192, 7, 41)
+        for got, want in zip(grads(x, w, up, order), one_gemm(x, up, order)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
         monkeypatch.setattr(ops, "_DW_CHUNK_VALUES", 3 * 5 * 9)
-        assert_close(*dw_case(7, 5, 4, 3, 42))
+        x, w, up, order = case(7, 5, 4, 3, 42)
+        want_dw, want_db = np.zeros((4, 5)), np.zeros(4)
+        for a in range(0, 7, 3):
+            dw, db = one_gemm(x, up, order[a : a + 3])
+            want_dw += dw
+            want_db += db
+        pi = np.array(Prng(43).sample_indices(7, 7))
+        relabeled = np.argsort(pi)[order]  # the same RoIs, now at rows pi^-1
+        for got in grads(x, w, up, order), grads(x[pi], w, up[pi], relabeled):
+            assert got[0].tobytes() == want_dw.tobytes()
+            assert got[1].tobytes() == want_db.tobytes()
 
     def test_softmax_vjp_fd(self):
         prng = Prng(24)

@@ -1,6 +1,7 @@
 """Scene generation, the membership-oracle ceiling, and training."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -601,6 +602,15 @@ class TestTrain:
         assert exc.value.step == 2
         assert isinstance(exc.value.__cause__, NumericalError)
         assert str(exc.value) == f"training diverged at step 2: {exc.value.__cause__}"
+
+    @pytest.mark.parametrize("variant", ["nlroi", "baseline"])
+    def test_divergence_warns_nothing(self, variant):
+        """A diverging run reports its DivergenceError alone: NumPy's
+        overflow and invalid-value warnings do not come first."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="^training diverged at step 2: "):
+                train(variant, SPEC, OP, Hyper(learning_rate=1e308, steps=5), seed=0)
 
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
