@@ -65,7 +65,7 @@ class DivergenceError(RuntimeError, NlRoiError):
 
 class NumericalError(ArithmeticError, NlRoiError):
     """A non-finite value where a finite one is required: an operator input
-    blob, the attention scores, or a finite-difference probe."""
+    blob, the attention scores, a logit or a finite-difference probe."""
 
 
 class InsufficientDataError(ValueError, NlRoiError):

@@ -51,16 +51,14 @@ TOLERANCE = 1e-6
 PROJECTION_SCALE = 1e-6  # keeps FD cancellation noise below the floor, see above
 
 
-def finite_diff(loss_fn, x: np.ndarray, step: float) -> np.ndarray:
+def finite_diff(loss_fn, x: np.ndarray) -> np.ndarray:
     """Richardson-extrapolated central-difference gradient of a scalar
-    function at x.
+    function at x, probed at the module's ``STEP``.
 
     With D(h)_k = (L(x + h*e_k) - L(x - h*e_k)) / (2h), whose error is
-    c*h^2 + O(h^4), grad_k = (4*D(step/2)_k - D(step)_k) / 3 cancels the h^2
-    term. No probe goes past +-step.
+    c*h^2 + O(h^4), grad_k = (4*D(STEP/2)_k - D(STEP)_k) / 3 cancels the h^2
+    term. No probe goes past +-STEP.
     """
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
     x = np.asarray(x, dtype=np.float64)
     grad = np.empty_like(x)
     flat = x.reshape(-1)
@@ -68,7 +66,7 @@ def finite_diff(loss_fn, x: np.ndarray, step: float) -> np.ndarray:
         orig = flat[k]
         probe = x.copy()
         central = []
-        for h in (step, step / 2.0):
+        for h in (STEP, STEP / 2.0):
             probe.reshape(-1)[k] = orig + h
             lp = float(loss_fn(probe))
             probe.reshape(-1)[k] = orig - h
@@ -143,14 +141,14 @@ def check_all_gradients(config: NlRoiConfig, seed: int, n: int = 4) -> GradRepor
     def loss_of_x(blob):
         return np.sum(nlroi_forward(blob, params, config)[0] * projection)
 
-    _compare("x", d_x, finite_diff(loss_of_x, x, STEP), checks)
+    _compare("x", d_x, finite_diff(loss_of_x, x), checks)
 
     for name in shapes:
         def loss_of_param(value, _name=name):
             trial = dataclasses.replace(params, **{_name: value})
             return np.sum(nlroi_forward(x, trial, config)[0] * projection)
 
-        numeric = finite_diff(loss_of_param, getattr(params, name), STEP)
+        numeric = finite_diff(loss_of_param, getattr(params, name))
         _compare(name, getattr(d_params, name), numeric, checks)
 
     return GradReport(tolerance=TOLERANCE, checks=checks)

@@ -2,9 +2,9 @@
 
 The operations take C-contiguous float64 arrays of consistent shapes and
 check none of it: the operator checks its inputs once, at its entries, and
-builds every other argument itself (so does ``toytask``). What is left is
-about values: ``softmax_rows`` rejects a masked row of one entry and skips
-an empty array. ``matmul``'s loop (below) copies its operands to C order,
+builds every other argument itself (so does ``toytask``), values too: it
+rejects a masked image of one RoI, whose softmax row has no entry left.
+``matmul``'s loop (below) copies its operands to C order,
 since it reads B by rows while the score's B is a transposed view: left
 strided, B took the loop from 198 to 324 ms at large_n's shape (N = 1024,
 64 inner steps) and from 108 to 148 ms at paper_scale's (N = 128, 3136);
@@ -77,8 +77,6 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateAttentionError
-
 # Values of X per chunk of the 1x1 VJP's weight gradient (2 MB of float64)
 _DW_CHUNK_VALUES = 1 << 18
 
@@ -149,24 +147,25 @@ def conv2d_1x1_vjp(x: np.ndarray, w: np.ndarray, d_out: np.ndarray, order: np.nd
     in chunks of consecutive entries of it, from a zero: each chunk holds at
     most ``_DW_CHUNK_VALUES`` values of X (at least one RoI) and adds one
     GEMM over its (RoI, position) pairs to dW and the row sums of the same
-    gathered upstream to db. The gather writes straight into the transposed
-    layout that the GEMM reads, one copy per operand. dX, one identical BLAS
-    call per RoI, is formed after dW, once the copies are freed: beyond its
-    arguments the call holds dX or one chunk's copies, never both."""
+    gathered upstream to db. One ``np.take`` per operand gathers whole rows
+    of its (N*C, positions) view into the (C, RoI, position) layout that the
+    GEMM reads. dX, one identical BLAS call per RoI, is formed after dW,
+    once the copies are freed: beyond its arguments the call holds dX or
+    one chunk's copies, never both."""
     n, cin, h, wd = x.shape
     cout = w.shape[0]
     g = d_out.reshape(n, cout, h * wd)
-    xs = x.reshape(n, cin, h * wd)
     step = max(1, _DW_CHUNK_VALUES // (cin * h * wd))
-    g_t, x_t = g.transpose(1, 0, 2), xs.transpose(1, 0, 2)  # (C, N, positions) views
+    g_rows, x_rows = d_out.reshape(n * cout, h * wd), x.reshape(n * cin, h * wd)
     dw, db = np.zeros((cout, cin)), np.zeros(cout)
     for a in range(0, n, step):
         rois = order[a : a + step]
-        # (channel, RoI) index pairs gather in the GEMM's layout: one C-order copy
-        g_cols = g_t[np.arange(cout)[:, None], rois].reshape(cout, -1)
-        dw += g_cols @ x_t[np.arange(cin)[:, None], rois].reshape(cin, -1).T
+        # row c of RoI r is row r*C + c: (C, RoIs) indices gather in the GEMM's layout
+        g_cols = np.take(g_rows, rois * cout + np.arange(cout)[:, None], axis=0).reshape(cout, -1)
+        x_cols = np.take(x_rows, rois * cin + np.arange(cin)[:, None], axis=0).reshape(cin, -1)
+        dw += g_cols @ x_cols.T
         db += np.add.reduce(g_cols, axis=1)
-        del g_cols  # no chunk copy is held while dX forms
+        del g_cols, x_cols  # no chunk copy is held while dX forms
     dx = (w.T @ g).reshape(n, cin, h, wd)
     return dx, dw, db
 
@@ -222,21 +221,16 @@ def softmax_rows(s: np.ndarray, mask_diagonal=False) -> np.ndarray:
     array (a view is fine), overwritten with the weights.
 
     A stack (B, n, m) is normalized matrix by matrix. With ``mask_diagonal``
-    the matrices are square, their diagonal entries receive exactly zero
-    weight and each row renormalizes over the rest (the masked scores are
-    treated as -inf before exponentiation).
+    the matrices are square with n >= 2, their diagonal entries receive
+    exactly zero weight and each row renormalizes over the rest (the masked
+    scores are treated as -inf before exponentiation).
     """
     if mask_diagonal:
-        if s.shape[-1] == 1:
-            raise DegenerateAttentionError(
-                "a single masked row has no entries left to attend to"
-            )
         rows = np.arange(s.shape[-1])
         s[..., rows, rows] = -np.inf
-    if s.size:
-        s -= np.maximum.reduce(s, axis=-1, keepdims=True)
-        np.exp(s, out=s)
-        s /= np.add.reduce(s, axis=-1, keepdims=True)
+    s -= np.maximum.reduce(s, axis=-1, keepdims=True, initial=-np.inf)  # empty s passes
+    np.exp(s, out=s)
+    s /= np.add.reduce(s, axis=-1, keepdims=True)
     return s
 
 

@@ -77,21 +77,17 @@ def raw_to_normals(raw: np.ndarray, out: np.ndarray) -> None:
     length), written into ``out`` (one row per row of ``raw``, half its
     width). Shifts ``raw`` in place.
 
-    The block goes in pieces of at most ``_CHUNK`` outputs through one
-    uniform buffer: whole rows when several fit, else one row at a time in
-    column pieces of even width, so no pair straddles two pieces. A one-row
-    piece is a 1-D view, which NumPy's ufuncs take on their fast path.
+    The block goes through one uniform buffer in pieces of at most
+    ``_CHUNK`` outputs: as many whole rows as fit (at least one), in column
+    pieces of even width, so no pair straddles two pieces.
     """
     rows, width = raw.shape
     u = np.empty(min(raw.size, _CHUNK))
-    step = _CHUNK // width
-    if rows > 1 and step > 1:
-        for r in range(0, rows, step):
-            _box_muller(raw[r : r + step], u, out[r : r + step])
-    else:
-        for r in range(rows):
-            for c in range(0, width, _CHUNK):
-                _box_muller(raw[r, c : c + _CHUNK], u, out[r, c // 2 : (c + _CHUNK) // 2])
+    step = max(1, _CHUNK // width)
+    for r in range(0, rows, step):
+        block = slice(r, r + step)
+        for c in range(0, width, _CHUNK):
+            _box_muller(raw[block, c : c + _CHUNK], u, out[block, c // 2 : (c + _CHUNK) // 2])
 
 
 class Prng:

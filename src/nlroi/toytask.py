@@ -327,6 +327,7 @@ def train(
     return model, losses
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value reports only its NumericalError
 def evaluate(model: ToyModel, scenes: int, seed: int) -> float:
     """Mean per-RoI accuracy over freshly generated scenes.
 
@@ -334,7 +335,8 @@ def evaluate(model: ToyModel, scenes: int, seed: int) -> float:
     fit ``_EVAL_BUDGET`` RoI feature values (N·D·H·W per scene), and never
     fewer than one. No bit depends on the chunking (see the module
     docstring), so a larger budget only shares each call's fixed cost over
-    more scenes.
+    more scenes. A non-finite logit raises NumericalError naming its scene
+    (counted over the whole evaluation) and RoI.
     """
     require_size("scenes", scenes, 1)
     spec = model.spec
@@ -344,7 +346,12 @@ def evaluate(model: ToyModel, scenes: int, seed: int) -> float:
     total = 0
     for start in range(0, scenes, chunk):
         pooled, labels, _ = _head_inputs(model, prng, min(chunk, scenes - start))
-        preds = np.argmax(head_logits(model, pooled), axis=1)
+        logits = head_logits(model, pooled)
+        if not np.isfinite(logits).all():
+            row, c = np.argwhere(~np.isfinite(logits))[0]
+            where = f"logit {c} of scene {start + row // spec.n}, RoI {row % spec.n}"
+            raise NumericalError(f"{where} is non-finite: {float(logits[row, c])!r}")
+        preds = np.argmax(logits, axis=1)
         correct += int(np.sum(preds == labels))
         total += labels.size
     return correct / total

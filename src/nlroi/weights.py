@@ -49,8 +49,6 @@ def save_weights(path, named) -> None:
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
             raise WeightsFormatError(f"tensor name too long ({len(encoded)} bytes)")
-        if arr.ndim > 0xFF:
-            raise WeightsFormatError(f"rank {arr.ndim} exceeds the format's u8 field")
         buf += struct.pack("<H", len(encoded))
         buf += encoded
         buf += struct.pack("<B", arr.ndim)

@@ -114,8 +114,11 @@ def test_attention_invariants(announce):
         if masked and np.any(np.diag(p) != 0.0):
             ok = False
     ok = ok and worst_row_sum <= 1e-12
+    # a masked image of one RoI has no entry left: the operator's entry rejects it
+    masked = NlRoiConfig(d=4, d_f=2, d_mid=2, d_g=2, h=2, w=2, attend_to_self=False)
+    params = init_params(masked, prng)
     try:
-        attention_weights(np.zeros((1, 1)), attend_to_self=False)
+        nlroi_forward(prng.normals(16).reshape(1, 4, 2, 2), params, masked)
         raised = False
     except DegenerateAttentionError:
         raised = True

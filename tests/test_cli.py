@@ -4,11 +4,12 @@ import math
 import random
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from nlroi import cli, errors
+from nlroi import cli, errors, toytask
 from nlroi.cli import main
 from nlroi.operator import NlRoiConfig
 from nlroi.rng import Prng
@@ -29,8 +30,9 @@ FAST_TRAIN = "\n".join(
     ]
 )
 
-# the bench's operator at its smallest useful size
+# the bench's operator at its smallest useful size, over the fewest N the slope fit takes
 TINY_OP = NlRoiConfig(d=4, d_f=2, d_mid=2, d_g=2, h=2, w=2)
+TINY_SWEEP = tuple((n, TINY_OP) for n in (2, 4, 6, 8))
 
 # every exception class that nlroi.errors defines
 ERROR_CLASSES = [
@@ -106,22 +108,17 @@ class TestOracleDiffCommand:
 class TestBenchCommand:
     def test_csv_to_stdout(self, capsys, monkeypatch):
         # shrink the sweep so the test stays fast
-        import nlroi.cli as cli
-
-        tiny = tuple((n, TINY_OP) for n in (4, 8))
-        monkeypatch.setattr(cli, "DEFAULT_SWEEP", tiny)
+        monkeypatch.setattr(cli, "DEFAULT_SWEEP", TINY_SWEEP)
         rc = main(["bench", "--seed", "0"])
         captured = capsys.readouterr()
         assert rc == 0
         lines = captured.out.splitlines()
         assert lines[0] == "n,d,d_f,d_g,h,w,reps,forward_ms,backward_ms"
-        assert len(lines) == 3
-        assert lines[1].startswith("4,4,2,2,2,2,5,")
+        assert len(lines) == 5
+        assert lines[1].startswith("2,4,2,2,2,2,5,")
 
     def test_csv_to_file(self, tmp_path, capsys, monkeypatch):
-        import nlroi.cli as cli
-
-        monkeypatch.setattr(cli, "DEFAULT_SWEEP", ((4, TINY_OP),))
+        monkeypatch.setattr(cli, "DEFAULT_SWEEP", TINY_SWEEP)
         out = tmp_path / "bench.csv"
         rc = main(["bench", "--out", str(out)])
         captured = capsys.readouterr()
@@ -130,20 +127,14 @@ class TestBenchCommand:
         assert out.read_text().splitlines()[0].startswith("n,d,")
 
     def test_slope_on_stderr(self, capsys, monkeypatch):
-        """The fitted slope goes to stderr; stdout is the CSV alone. A sweep
-        too thin to fit says so and still succeeds."""
-        import nlroi.cli as cli
-
-        monkeypatch.setattr(cli, "DEFAULT_SWEEP", tuple((n, TINY_OP) for n in (2, 4, 6, 8)))
+        """The fitted slope goes to stderr; stdout is the CSV alone."""
+        monkeypatch.setattr(cli, "DEFAULT_SWEEP", TINY_SWEEP)
         rc = main(["bench"])
         captured = capsys.readouterr()
         assert rc == 0
         assert len(captured.out.splitlines()) == 5
         (line,) = [s for s in captured.err.splitlines() if s.startswith("slope=")]
         assert math.isfinite(float(line.removeprefix("slope=")))
-        monkeypatch.setattr(cli, "DEFAULT_SWEEP", ((4, TINY_OP),))
-        assert main(["bench"]) == 0
-        assert "slope=n/a: need >= 4 distinct N values" in capsys.readouterr().err
 
     def test_help_says_what_it_times_and_reads(self, capsys):
         with pytest.raises(SystemExit):
@@ -287,6 +278,45 @@ class TestTrainEval:
         assert captured.out == ""
         assert captured.err.startswith(f"error: weights tensor {name!r} has a non-finite value")
         assert str(index) in captured.err
+
+    def test_eval_operator_overflow_is_one_named_error(self, tmp_path, capsys, fast_config):
+        """Finite weights so large that the g-branch overflows exit 1 with
+        the operator's error and no NumPy warning before it."""
+        weights = tmp_path / "w.bin"
+        assert main(["init", "--config", fast_config, "--out", str(weights)]) == 0
+        save_weights(weights, {k: v * 1e300 for k, v in load_weights(weights).items()})
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["eval", "--weights", str(weights), "--config", fast_config])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.startswith("error: g-branch embedding has a non-finite value")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_eval_rejects_a_non_finite_logit(self, tmp_path, capsys, monkeypatch, fast_config):
+        """Finite weights whose logits overflow exit 1, with no NumPy warning,
+        naming the scene (counted over the whole evaluation) and the RoI,
+        whatever the chunking."""
+        weights = tmp_path / "w.bin"
+        assert main(["init", "--variant", "baseline", "--config", fast_config,
+                     "--out", str(weights)]) == 0
+        named = load_weights(weights)
+        # logit 0 overflows where channel 0 exceeds 1.198: a class-0 RoI's noise past 2 sigma
+        named["w_head"][0, 0] = 1.5e308
+        save_weights(weights, named)
+        capsys.readouterr()
+        errs = []
+        for budget in (toytask._EVAL_BUDGET, 1):  # one chunk, then one scene per chunk
+            monkeypatch.setattr(toytask, "_EVAL_BUDGET", budget)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = main(["eval", "--weights", str(weights), "--config", fast_config,
+                           "--scenes", "200"])
+            captured = capsys.readouterr()
+            assert rc == 1 and captured.out == ""
+            errs.append(captured.err)
+        assert errs == ["error: logit 0 of scene 14, RoI 1 is non-finite: inf\n"] * 2
 
 
 class TestInitCommand:

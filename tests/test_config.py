@@ -123,6 +123,10 @@ class TestErrors:
         with pytest.raises(ConfigError, match="integer"):
             parse_config("d = eight")
 
+    def test_non_number_value(self):
+        with pytest.raises(ConfigError, match="line 2: learning_rate expects a number"):
+            parse_config("d = 8\nlearning_rate = fast")
+
     def test_float_where_int_expected(self):
         with pytest.raises(ConfigError, match="integer"):
             parse_config("n = 4.5")

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from nlroi import gradcheck
 from nlroi.errors import ConfigError, NumericalError
 from nlroi.gradcheck import (
     GradReport,
@@ -27,24 +28,25 @@ from nlroi.rng import Prng
 class TestFiniteDiff:
     def test_quadratic(self):
         x = np.array([1.0, 2.0])
-        g = finite_diff(lambda v: float(np.sum(v * v)), x, step=1e-5)
+        g = finite_diff(lambda v: float(np.sum(v * v)), x)
         assert np.max(np.abs(g - np.array([2.0, 4.0]))) < 1e-8
 
     def test_constant_function(self):
-        g = finite_diff(lambda v: 3.5, np.ones((2, 3)), step=1e-4)
+        g = finite_diff(lambda v: 3.5, np.ones((2, 3)))
         assert np.array_equal(g, np.zeros((2, 3)))
 
     def test_preserves_shape(self):
         x = np.arange(12, dtype=np.float64).reshape(3, 4)
-        g = finite_diff(lambda v: float(v.sum()), x, step=1e-5)
+        g = finite_diff(lambda v: float(v.sum()), x)
         assert g.shape == (3, 4)
         assert np.max(np.abs(g - 1.0)) < 1e-9
 
-    def test_cubic_has_no_truncation_error(self):
+    def test_cubic_has_no_truncation_error(self, monkeypatch):
         # a central difference of x^3 is 3x^2 + h^2 exactly; the Richardson
         # combination cancels the h^2 term, which at h=1e-2 is 1e-4
+        monkeypatch.setattr(gradcheck, "STEP", 1e-2)
         x = np.array([0.5, -2.0, 3.0])
-        g = finite_diff(lambda v: float(np.sum(v**3)), x, step=1e-2)
+        g = finite_diff(lambda v: float(np.sum(v**3)), x)
         assert np.max(np.abs(g - 3.0 * x * x)) < 1e-10
 
     def test_nonfinite_loss_raises(self):
@@ -52,7 +54,7 @@ class TestFiniteDiff:
             return float("nan")
 
         with pytest.raises(NumericalError):
-            finite_diff(bad, np.ones(2), step=1e-5)
+            finite_diff(bad, np.ones(2))
 
     def test_nonfinite_only_after_perturbation(self):
         def fragile(v):
@@ -61,7 +63,7 @@ class TestFiniteDiff:
             return float(v[0])
 
         with pytest.raises(NumericalError):
-            finite_diff(fragile, np.array([1.0 - 1e-9]), step=1e-5)
+            finite_diff(fragile, np.array([1.0 - 1e-9]))
 
 
 class TestRelErr:
@@ -173,11 +175,11 @@ class TestOneHotRows:
         def loss(blob, trial):
             return np.sum(nlroi_forward(blob, trial, self.CFG)[0] * proj)
 
-        assert np.max(rel_err(d_x, finite_diff(lambda v: loss(v, params), x, 1e-5))) < 1e-6
+        assert np.max(rel_err(d_x, finite_diff(lambda v: loss(v, params), x))) < 1e-6
         for name in NlRoiParams.shapes(self.CFG):
             numeric = finite_diff(
                 lambda v: loss(x, dataclasses.replace(params, **{name: v})),
-                getattr(params, name), 1e-5,
+                getattr(params, name),
             )
             assert np.max(rel_err(getattr(grads, name), numeric)) < 1e-6, name
 

@@ -83,6 +83,12 @@ class TestConfig:
         full = small_config(scaling=Scaling.FULL_FLATTEN)
         assert full.scale() == math.sqrt(4 * 3 * 3)
 
+    def test_scaling_must_be_a_member(self):
+        # the member's value is not the member: a config file's spelling
+        # reaches the operator only through Scaling
+        with pytest.raises(ConfigError, match="Scaling member"):
+            small_config(scaling="per_channel")
+
 
 class TestInitParams:
     def test_same_seed_bitwise(self):
@@ -153,6 +159,12 @@ class TestRelationScores:
         with pytest.raises(DimensionError):
             nlroi_forward(x[:, :4], params, cfg)
 
+    def test_blob_rank_checked(self):
+        cfg = small_config()
+        x, params = random_case(16, 3, cfg)
+        with pytest.raises(DimensionError, match="rank 4"):
+            nlroi_forward(x[:, :, 0], params, cfg)
+
 
 class TestAttentionWeights:
     def test_uniform_when_scores_flat(self):
@@ -173,10 +185,6 @@ class TestAttentionWeights:
         a = attention_weights(s, True)
         b = attention_weights(shifted, True)
         assert np.allclose(a[2], b[2], rtol=0, atol=1e-15)
-
-    def test_masked_single_roi_raises(self):
-        with pytest.raises(DegenerateAttentionError):
-            attention_weights(np.zeros((1, 1)), attend_to_self=False)
 
 
 class TestEmbedG:
@@ -389,6 +397,13 @@ class TestReference:
         with pytest.raises(DegenerateAttentionError):
             nlroi_reference(x, params, cfg)
 
+    @pytest.mark.parametrize("attend", [True, False])
+    def test_empty_blob(self, attend):
+        cfg = small_config(attend_to_self=attend)
+        _, params = random_case(34, 1, cfg)
+        out = nlroi_reference(np.zeros((0, 8, 3, 3)), params, cfg)
+        assert out.shape == (0, 13, 3, 3)
+
 
 class TestBackward:
     def test_zero_upstream_zero_gradients(self):
@@ -588,13 +603,13 @@ class TestMultiImage:
         def loss(blob, p=params):
             return np.sum(nlroi_forward(blob, p, cfg, counts=counts)[0] * proj)
 
-        assert float(np.max(rel_err(dx, finite_diff(loss, x, 1e-5)))) < 1e-6
+        assert float(np.max(rel_err(dx, finite_diff(loss, x)))) < 1e-6
         for name, g in dparams.tensors():
 
             def loss_of(t, name=name):
                 return loss(x, dataclasses.replace(params, **{name: t}))
 
-            numeric = finite_diff(loss_of, getattr(params, name), 1e-5)
+            numeric = finite_diff(loss_of, getattr(params, name))
             assert float(np.max(rel_err(g, numeric))) < 1e-6, name
 
 
@@ -801,13 +816,13 @@ class TestCanonicalOrder:
             def loss(blob, p=params):
                 return np.sum(nlroi_forward(blob, p, cfg)[0] * proj)
 
-            assert float(np.max(rel_err(dx, finite_diff(loss, x, 1e-5)))) < 1e-6
+            assert float(np.max(rel_err(dx, finite_diff(loss, x)))) < 1e-6
             for name, g in dparams.tensors():
 
                 def loss_of(t, name=name):
                     return loss(x, dataclasses.replace(params, **{name: t}))
 
-                numeric = finite_diff(loss_of, getattr(params, name), 1e-5)
+                numeric = finite_diff(loss_of, getattr(params, name))
                 assert float(np.max(rel_err(g, numeric))) < 1e-6, name
 
     def test_twins_at_larger_n(self):

@@ -91,6 +91,11 @@ class TestDerivedDraws:
         perm = Prng(8).sample_indices(5, 5)
         assert sorted(perm) == [0, 1, 2, 3, 4]
 
+    @pytest.mark.parametrize("k", [-1, 4])
+    def test_sample_indices_rejects_k_outside_range(self, k):
+        with pytest.raises(ValueError, match=f"cannot sample {k} indices from range"):
+            Prng(0).sample_indices(3, k)
+
     def test_empty_block_leaves_state_alone(self):
         a = Prng(6)
         b = Prng(6)
@@ -189,6 +194,26 @@ class TestChunks:
         assert out[:rows].tobytes() == Prng(rows + width).normals(rows * width // 2).tobytes()
         # the rows past the block's stay untouched
         assert np.all(out[rows:] == 7.5)
+
+    @pytest.mark.parametrize(
+        "rows, width, digest",
+        [
+            # a toy training step's noise: several rows per piece
+            (8, 256, "fa220b0f2e00042d6e3ec7394cb9c10129e28f4c117ac1ae22e8dc3ccaa26d37"),
+            # one row in one piece
+            (1, 2304, "7e4cd82189ced558557aec3510fb261aac8edccafde4dd98dadc0c363c97748e"),
+            # rows wider than a piece: each in column pieces with a remainder
+            (3, 40000, "62d109f38be4a46cb03a21089d155d0d203d29021f2824656892dd497d175ba3"),
+            (8, 65536, "7254c69f65006f965cfcbbb3de6a45c82e75dc81f3e44947bc2c4cfe369b5a19"),
+        ],
+    )
+    def test_raw_to_normals_frozen_digests(self, rows, width, digest):
+        # SHA-256 of the normals when one-row and several-row pieces took
+        # separate loops, a 1-D view for the former
+        raw = Prng(rows * width).u64s(rows * width).reshape(rows, width)
+        out = np.empty((rows, width // 2))
+        raw_to_normals(raw, out)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == digest
 
     def test_frozen_digests(self):
         # SHA-256 of the bytes the whole-array draws gave before chunking

@@ -98,6 +98,22 @@ class TestFormatErrors:
         with pytest.raises(WeightsFormatError, match="duplicate tensor name"):
             load_weights(path)
 
+    def test_save_name_past_the_u16_field(self, tmp_path):
+        path = tmp_path / "w.bin"
+        with pytest.raises(WeightsFormatError, match="name too long \\(65536 bytes\\)"):
+            save_weights(path, {"a" * 0xFFFF + "b": np.zeros(1)})
+        assert not path.exists()
+        save_weights(path, {"a" * 0xFFFF: np.zeros(1)})
+        assert list(load_weights(path)) == ["a" * 0xFFFF]
+
+    def test_save_dimension_past_the_u32_field(self, tmp_path):
+        # a zero-stride view: 2**32 values without allocating them
+        huge = np.broadcast_to(np.zeros(1), (2, 1 << 32))
+        path = tmp_path / "w.bin"
+        with pytest.raises(WeightsFormatError, match=f"dimension {1 << 32} exceeds"):
+            save_weights(path, {"w": huge})
+        assert not path.exists()
+
     def test_name_not_utf8(self, tmp_path):
         path = tmp_path / "w.bin"
         entry = struct.pack("<H", 1) + b"\xff" + bytes([0])
