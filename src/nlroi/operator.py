@@ -17,16 +17,17 @@ to the RoIs of its own image. ``nlroi_forward`` takes the RoIs of several
 images concatenated along the first axis, with ``counts`` giving each
 image's RoI count. The channel stages (phi/psi embeddings, the g-branch,
 tile and concat) run once over all RoIs; the N x N stages (score, softmax,
-mix) run once per run of consecutive images with equal counts, on stacked
-(images, n, .) arrays. Every image's output is bitwise equal to what a
-call with that image alone returns. The softmax overwrites its input
-stack, so each group keeps one N x N stack, the raw scores that become
-the weights; the backward walks blocks of ``_ROW_BLOCK`` rows of it and
-makes no whole N x N gradient.
+mix) run once per distinct non-zero count, on the stacked (images, n, .)
+arrays of the images with that count, wherever they sit in the call.
+Every image's output is bitwise equal to what a call with that image
+alone returns. The softmax overwrites its input stack, so each group
+keeps one N x N stack, the raw scores that become the weights; the
+backward walks blocks of ``_ROW_BLOCK`` rows of it and makes no whole
+N x N gradient.
 
-Everything summed over RoIs runs in a canonical RoI order: each image's
-RoIs sorted by content (``_canonical_order``, one lexsort per run of
-equal-count images). Relabeling an image's RoIs hands the N x N stages,
+Everything summed over RoIs runs in a canonical RoI order: the images by
+RoI count, and each image's RoIs sorted by content (``_canonical_order``,
+one lexsort per call). Relabeling an image's RoIs hands the N x N stages,
 their VJPs and the parameter gradients' sums the same arrays, so these
 may use any deterministic kernel, BLAS included: the forward and the
 input gradient dX are bitwise permutation-equivariant, and the parameter
@@ -50,7 +51,6 @@ gives exact reverse-mode gradients using the cached forward activations.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass, fields
 
@@ -147,10 +147,12 @@ class ForwardCache:
     The N x N stages ran in canonical order (``_canonical_order``): canonical
     row k is call row ``order[k]``. ``phi``, ``psi`` and ``g`` hold their
     rows in that order, and ``attn`` holds the weights, one canonical
-    (images, n, n) stack per entry of ``groups``. For the group that starts
-    at ``row``, entry (k, j) of image i's stack is the weight that call row
-    ``order[row + i*n + k]`` gives to call row ``order[row + i*n + j]``; the
-    diagonal holds each RoI's self-weight. ``attn`` is the only N x N array
+    (images, n, n) stack per entry of ``groups``, that is per distinct
+    non-zero count, its images in call order. For the group that starts at
+    canonical row ``row``, entry (k, j) of image i's stack is the weight
+    that call row ``order[row + i*n + k]`` gives to call row
+    ``order[row + i*n + j]``; the diagonal holds each RoI's self-weight.
+    Images with no RoIs have no stack. ``attn`` is the only N x N array
     the cache keeps. ``config`` and ``params`` are the forward's checked
     ones: the backward differentiates them and must be given equal ones.
     ``x`` and the ``params`` tensors are the caller's own arrays wherever
@@ -163,9 +165,10 @@ class ForwardCache:
     config: NlRoiConfig
     params: NlRoiParams
     x: np.ndarray            # (N, D, H, W) input blob
-    groups: tuple            # (first row, images, RoIs per image) per run of equal counts
+    counts: tuple            # RoIs per image, in call order
+    groups: tuple            # (first canonical row, images, RoIs per image) per distinct count
     order: np.ndarray        # (N,) call row of each canonical row
-    twins: tuple             # per group: identical RoIs, see _canonical_order
+    twins: tuple | None      # identical RoIs as canonical rows (k, a), see _canonical_order
     phi: np.ndarray          # (N, D_f*H*W) flattened phi embeddings
     psi: np.ndarray          # (N, D_f*H*W) flattened psi embeddings
     g: np.ndarray            # (N, D_g) per-RoI embedding matrix G
@@ -234,17 +237,6 @@ def _image_counts(counts, n: int) -> tuple:
     return counts
 
 
-def _groups(counts: tuple) -> tuple:
-    """(first row, images, RoIs per image) for each run of equal counts."""
-    groups = []
-    row = 0
-    for rois, run in itertools.groupby(counts):
-        images = len(list(run))
-        groups.append((row, images, rois))
-        row += images * rois
-    return tuple(groups)
-
-
 def _flat_embed(x, w, b):
     # 1x1 conv then row-major flatten to (N, D_f*H*W); the explicit product
     # keeps the reshape well defined when N = 0
@@ -268,50 +260,47 @@ def attention_weights(s: np.ndarray, attend_to_self: bool) -> np.ndarray:
     return ops.softmax_rows(s, mask_diagonal=not attend_to_self)
 
 
-def _canonical_order(groups: tuple, *blobs):
-    """Returns (order, twins): the canonical row order of the N x N stages.
+def _canonical_order(counts: tuple, *blobs):
+    """Returns (order, groups, twins): the layout of the N x N stages.
 
-    Canonical row k is original row ``order[k]``: each image's RoIs in
+    Canonical row k is call row ``order[k]``. One stable sort puts the
+    images in order of (RoI count, call index), and each image's RoIs in
     ascending order of the bytes of their rows in the first blob, ties
-    broken by the next blob, images in call order; RoIs equal in every
-    blob keep their call order. A RoI's position in the call then cannot
-    change what these stages compute. RoIs equal in every blob (twins) are
-    identical, and the stages must give them identical results wherever
-    the sort puts them: ``twins[g]`` is None, or index arrays (k, a) into
-    group g's canonical rows, where RoI k repeats RoI a, the first of its
-    run of twins.
+    broken by the next blob; RoIs equal in every blob keep their call
+    order. A RoI's position in its image then cannot change what these
+    stages compute. ``groups`` holds (first canonical row, images, RoIs per
+    image) for each distinct non-zero count. RoIs of one image equal in
+    every blob (twins) are identical, and the stages must give them
+    identical results wherever the sort puts them: ``twins`` is None, or
+    canonical index arrays (k, a), where RoI k repeats RoI a, the first of
+    its run of twins.
     """
-    order = np.empty(blobs[0].shape[0], dtype=np.intp)
+    # each row's image leads the sort: count * images + call index orders
+    # the images by (count, call index)
+    sizes = np.array(counts, dtype=np.intp)
+    image = np.repeat(sizes * sizes.size + np.arange(sizes.size), sizes)
     keys = [_row_keys(b) for b in blobs]
-    lead = blobs[0][:, 0, 0, 0]
-    twins = []
-    for row, images, rois in groups:
-        end = row + images * rois
-        block = np.lexsort([k[row:end].reshape(images, rois) for k in reversed(keys)], axis=-1)
-        # each image's first call row, in one step (empty images: empty block)
-        if images > 1 and rois:
-            block += np.arange(row, end, rois)[:, None]
-        elif row:
-            block += row
-        ranked = order[row:end] = block.reshape(-1)
-        first = lead[ranked]
-        same = first[1:] == first[:-1]
-        # an image's first RoI has no left neighbour
-        same[rois - 1 :: max(rois, 1)] = False
-        # twins: neighbours with equal first elements, then equal bytes in
-        # every blob (gathering every neighbour's bytes would copy the blobs)
-        (k,) = np.nonzero(same)
-        if k.size:
-            for key in keys:
-                same[k] &= key[ranked[k + 1]] == key[ranked[k]]
-            k = k[same[k]]
-        if not k.size:
-            twins.append(None)
-            continue
-        # a run of twins starts at the last RoI that differs from the one before
-        start = np.maximum.accumulate(np.where(same, 0, np.arange(1, same.size + 1)))
-        twins.append((k + 1, start[k]))
-    return order, tuple(twins)
+    order = np.lexsort([*reversed(keys), image])
+    groups, row = [], 0
+    for rois in sorted(set(counts) - {0}):
+        images = counts.count(rois)
+        groups.append((row, images, rois))
+        row += images * rois
+    first = blobs[0][:, 0, 0, 0][order]
+    same = first[1:] == first[:-1]
+    # twins: neighbours with equal first elements, then of one image and with
+    # equal bytes in every blob (gathering every neighbour's bytes would copy
+    # the blobs)
+    (k,) = np.nonzero(same)
+    if k.size:
+        for key in (image, *keys):
+            same[k] &= key[order[k + 1]] == key[order[k]]
+        k = k[same[k]]
+    if not k.size:
+        return order, tuple(groups), None
+    # a run of twins starts at the last RoI that differs from the one before
+    start = np.maximum.accumulate(np.where(same, 0, np.arange(1, same.size + 1)))
+    return order, tuple(groups), (k + 1, start[k])
 
 
 def _row_keys(a: np.ndarray) -> np.ndarray:
@@ -332,18 +321,22 @@ def _scores(phi: np.ndarray, psi: np.ndarray, row: int, images: int, rois: int) 
     )
 
 
-def _require_finite_scores(s, order, row, image):
+def _require_finite_scores(s, order, row, counts):
     """Raises NumericalError at a non-finite entry of the canonical stack of
-    scaled scores of the group that starts at ``row``, whose first image is
-    ``image``. The index is given in the image's own row order."""
+    scaled scores of the group that starts at canonical row ``row``. The
+    image is named by its call index, and the index is given in the
+    image's own row order."""
     finite = np.isfinite(s)
     if not finite.all():
         k, i, j = (int(v) for v in np.argwhere(~finite)[0])
         start = row + k * s.shape[-1]
-        # canonical row r of the image is row order[start + r] - start of the call
-        at = tuple(int(order[start + r]) - start for r in (i, j))
+        ends = np.cumsum(counts)
+        image = int(np.searchsorted(ends, order[start], side="right"))
+        # the image's canonical row r is its own row order[start + r] - first
+        first = int(ends[image]) - counts[image]
+        at = tuple(int(order[start + r]) - first for r in (i, j))
         raise NumericalError(
-            f"attention score matrix of image {image + k} has a non-finite value "
+            f"attention score matrix of image {image} has a non-finite value "
             f"{float(s[k, i, j])!r} at index {at}"
         )
 
@@ -369,42 +362,44 @@ def nlroi_forward(x: np.ndarray, params: NlRoiParams, config: NlRoiConfig, count
             f"image {counts.index(1)} has a single RoI: with self-attention masked "
             "it has no entries left to attend to"
         )
-    groups = _groups(counts)
-    order, twins = _canonical_order(groups, x)
+    order, groups, twins = _canonical_order(counts, x)
     phi = _flat_embed(x, params.w_phi, params.b_phi)[order]
     psi = _flat_embed(x, params.w_psi, None)[order]
     g_pre = ops.conv2d_1x1(x, params.w_g1, params.b_g1)
     g = ops.conv2d_3x3_pooled(ops.relu(g_pre), params.w_g2, params.b_g2)
     require_finite(g, "g-branch embedding")
     g = g[order]
-    y_vec = np.empty(g.shape)
+    y = np.empty(g.shape)
     attns = []
-    image = 0
-    for (row, images, rois), twin in zip(groups, twins):
+    for row, images, rois in groups:
         # the weights overwrite the raw scores
         attn = _scores(phi, psi, row, images, rois)
         attn /= config.scale()
-        _require_finite_scores(attn, order, row, image)
+        _require_finite_scores(attn, order, row, counts)
         attention_weights(attn, config.attend_to_self)
-        mixed = (attn @ _stacked(g, row, images, rois)).reshape(-1, config.d_g)
-        if twin is not None:
+        np.matmul(attn, _stacked(g, row, images, rois), out=_stacked(y, row, images, rois))
+        if twins is not None:
             # a twin copies the first RoI of its run: rows that differ only
             # in where the masked zero sits may round differently
-            k, a = twin
+            k, a = twins
+            inside = (row <= k) & (k < row + images * rois)
+            k, a = k[inside] - row, a[inside] - row
             rows = attn.reshape(-1, rois)
             rows[k] = rows[a]
-            mixed[k] = mixed[a]
             if not config.attend_to_self:
                 rows[k, a % rois] = rows[k, k % rois]
                 rows[k, k % rois] = 0.0
-        y_vec[order[row : row + images * rois]] = mixed
         attns.append(attn)
-        image += images
+    if twins is not None:
+        y[twins[0]] = y[twins[1]]
+    y_vec = np.empty(y.shape)
+    y_vec[order] = y
     out = ops.concat_channels(x, y_vec[:, :, None, None])
     cache = ForwardCache(
         config=config,
         params=params,
         x=x,
+        counts=counts,
         groups=groups,
         order=order,
         twins=twins,
@@ -533,8 +528,7 @@ def _group_vjp(cache, group, attn, d_y, scale, rows, d_phi, d_psi):
             d_psi_sum = term
         else:
             d_psi_sum += term
-    if d_psi_sum is not None:  # a group of empty images has no blocks
-        d_psi[rows.reshape(-1)] = d_psi_sum.reshape(-1, psi.shape[2])
+    d_psi[rows.reshape(-1)] = d_psi_sum.reshape(-1, psi.shape[2])
     return attn.transpose(0, 2, 1) @ d_y
 
 
@@ -598,10 +592,10 @@ def nlroi_backward(
     d_phi, d_psi = (d_emb[:, c : c + d_f].reshape(n, d_f * h * w) for c in (0, d_f))
 
     order, twins = cache.order, cache.twins
-    if any(t is not None for t in twins):
+    if twins is not None:
         # the backward sums over a run of twins, whose upstream rows may
         # differ: sort each run by them too (the cache fits any order of a run)
-        order, twins = _canonical_order(cache.groups, x, d_out)
+        order, _, twins = _canonical_order(cache.counts, x, d_out)
     d_y_canon = d_y[order]
     d_g_canon = np.empty((n, d_g))
     for group, attn in zip(cache.groups, cache.attn):
@@ -624,11 +618,10 @@ def nlroi_backward(
     w_emb = np.concatenate([params.w_phi, params.w_psi, params.w_g1])
     d_x, d_w, d_b = ops.conv2d_1x1_vjp(x, w_emb, d_emb, order)
     d_x += d_x_pass
-    # twins with equal upstream rows may still round differently by place
-    for (row, _, _), twin in zip(cache.groups, twins):
-        if twin is not None:
-            k, a = twin
-            d_x[order[row + k]] = d_x[order[row + a]]
+    if twins is not None:
+        # twins with equal upstream rows may still round differently by place
+        k, a = twins
+        d_x[order[k]] = d_x[order[a]]
     grads = NlRoiParams(
         w_phi=d_w[:d_f],
         b_phi=d_b[:d_f],

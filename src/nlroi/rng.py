@@ -12,9 +12,10 @@ The block draws (``u64s``, ``uniforms``, ``normals``, ``uniforms_in``)
 allocate their result once and fill it in chunks of ``_CHUNK`` outputs
 through reused chunk-sized buffers, so a draw peaks at about the size
 of its result; output k depends only on k, so the chunks give the bits of
-one whole draw. ``raw_to_normals``, the one Box-Muller path, streams a 2-D
-raw block the same way: ``normals`` calls it once per chunk, and
-``toytask`` once for a block that it splits between several uses.
+one whole draw. ``_box_muller`` is the one Box-Muller kernel: ``normals``
+hands it each chunk, and ``raw_to_normals`` streams a 2-D raw block
+through it the same way, for ``toytask``, which splits one block between
+several uses.
 """
 
 from __future__ import annotations
@@ -151,9 +152,10 @@ class Prng:
         """Standard normal deviates via Box-Muller; consumes 2 uniforms each."""
         count = _count(count)
         out = np.empty(count)
+        u = np.empty(min(2 * count, _CHUNK))
         # a chunk has even length, so no pair of outputs straddles two
         for offset, z in self._draw(2 * count):
-            raw_to_normals(z[None], out[None, offset // 2 : (offset + z.size) // 2])
+            _box_muller(z, u, out[offset // 2 : (offset + z.size) // 2])
         return out
 
     def randint(self, n: int) -> int:

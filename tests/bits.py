@@ -1,10 +1,13 @@
 """SHA-256 digests of the operator's results, for comparing two checkouts.
 
-Prints one JSON object. For each of six cases it holds the digest of the
-forward's output, of each ``cache.attn`` stack, of dX and of each of the
-7 parameter gradients. With ``--train`` it adds the digests of the
-weights files that ``nlroi train`` writes for both variants at the
-default config (3,000 steps each).
+Prints one JSON object. For each of seven cases it holds the digest of
+the forward's output, of each image's attention stack, of dX and of each
+of the 7 parameter gradients. An attention digest is keyed by the call
+index of its image (images with no RoIs have none), so a change that
+regroups the images but keeps every image's stack reads as equal. With
+``--train`` it adds the digests of the weights files that ``nlroi
+train`` writes for both variants at the default config (3,000 steps
+each).
 
 Run it once per checkout, each time with that checkout's ``src/`` on the
 path, and compare the two objects:
@@ -47,6 +50,8 @@ CASES = {
     "ragged_twins_masked": (MASKED_TOY, (5, 8, 0, 3), ((3, 1),)),
     "large_n": (LARGE_N, (1024,), ()),
     "paper_scale": (PAPER_SCALE, (128,), ()),
+    # last, so that the cases above keep their seeds
+    "alternating_twins": (TOY, (6, 10, 6, 10), ((9, 7),)),
 }
 
 
@@ -65,8 +70,20 @@ def case_digests(seed: int, config: NlRoiConfig, counts: tuple, twins: tuple) ->
     d_out = prng.normals(out.size).reshape(out.shape)
     d_x, grads = nlroi_backward(cache, params, config, d_out)
     named = {"out": digest(out), "d_x": digest(d_x)}
-    named |= {f"attn[{k}]": digest(a) for k, a in enumerate(cache.attn)}
+    named |= attn_digests(cache, counts)
     named |= {f"d_{name}": digest(g) for name, g in grads.tensors()}
+    return named
+
+
+def attn_digests(cache, counts: tuple) -> dict:
+    """One digest per image's (n, n) attention stack, keyed by the image's
+    call index, which its first canonical row's call row gives."""
+    ends = np.cumsum(counts)
+    named = {}
+    for (row, _, rois), attn in zip(cache.groups, cache.attn):
+        for i, stack in enumerate(attn if rois else ()):
+            image = int(np.searchsorted(ends, cache.order[row + i * rois], side="right"))
+            named[f"attn[image {image}]"] = digest(stack)
     return named
 
 

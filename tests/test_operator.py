@@ -285,15 +285,19 @@ class TestForward:
                 nlroi_forward(x * 1e160, params, cfg)
         # one bad RoI: only its score with itself overflows, and the message
         # names its image and its row there, not its canonical rank, also
-        # past its first _ROW_BLOCK rows
-        counts = (5, _ROW_BLOCK + 6)
-        x, params = random_case(33, sum(counts), cfg)
-        for i in range(counts[1]):
-            x_bad = x.copy()
-            x_bad[counts[0] + i] *= 1e160
-            with np.errstate(over="ignore", invalid="ignore"):
-                with pytest.raises(NumericalError, match=rf"of image 1 .* at index \({i}, {i}\)$"):
-                    nlroi_forward(x_bad, params, cfg, counts=counts)
+        # past its first _ROW_BLOCK rows, and when the image's group does not
+        # sit at its call place (counts (6, 4, 6) stack images 0 and 2 after
+        # image 1)
+        for seed, counts, image in ((33, (5, _ROW_BLOCK + 6), 1), (35, (6, 4, 6), 2)):
+            x, params = random_case(seed, sum(counts), cfg)
+            for i in range(counts[image]):
+                x_bad = x.copy()
+                x_bad[sum(counts[:image]) + i] *= 1e160
+                with np.errstate(over="ignore", invalid="ignore"):
+                    with pytest.raises(
+                        NumericalError, match=rf"of image {image} .* at index \({i}, {i}\)$"
+                    ):
+                        nlroi_forward(x_bad, params, cfg, counts=counts)
 
     @pytest.mark.parametrize(
         "name, index, bad",
@@ -315,7 +319,8 @@ class TestForward:
         _, params = random_case(24, 1, cfg)
         out, cache = nlroi_forward(np.zeros((0, 8, 3, 3)), params, cfg)
         assert out.shape == (0, 13, 3, 3)
-        assert cache.attn[0][0].shape == (0, 0)
+        assert cache.groups == ()
+        assert cache.attn == []
 
     def test_masked_needs_two_rois(self):
         cfg = small_config(attend_to_self=False)
@@ -513,7 +518,10 @@ def split_rows(counts):
 class TestMultiImage:
     """Several images in one call: RoIs attend only within their image."""
 
-    CASES = (((8, 8, 8), True), ((3, 0, 1, 5, 2), True), ((2, 3, 2), False))
+    CASES = (
+        ((8, 8, 8), True), ((3, 0, 1, 5, 2), True), ((2, 3, 2), False),
+        ((6, 10, 6, 10), False),
+    )
 
     def test_per_image_outputs_bitwise(self):
         for seed, (counts, attend) in enumerate(self.CASES):
@@ -527,12 +535,18 @@ class TestMultiImage:
                 y, y_alone = out[rows, cfg.d :, 0, 0], alone[:, cfg.d :, 0, 0]
                 assert y.tobytes() == y_alone.tobytes()
 
-    def test_groups_stack_runs_of_equal_counts(self):
+    def test_one_group_per_distinct_count(self):
+        """Images of equal counts share a group wherever they sit in the
+        call; groups follow ascending counts, and empty images make none."""
         cfg = small_config()
-        x, params = random_case(63, 13, cfg)
-        _, cache = nlroi_forward(x, params, cfg, counts=[3, 3, 0, 2, 2, 3])
-        assert cache.groups == ((0, 2, 3), (6, 1, 0), (6, 2, 2), (10, 1, 3))
-        assert [a.shape for a in cache.attn] == [(2, 3, 3), (1, 0, 0), (2, 2, 2), (1, 3, 3)]
+        for counts, groups in (
+            ((3, 3, 0, 2, 2, 3), ((0, 2, 2), (4, 3, 3))),
+            ((6, 10, 6, 10), ((0, 2, 6), (12, 2, 10))),
+        ):
+            x, params = random_case(63, sum(counts), cfg)
+            _, cache = nlroi_forward(x, params, cfg, counts=counts)
+            assert cache.groups == groups
+            assert [a.shape for a in cache.attn] == [(i, n, n) for _, i, n in groups]
 
     def test_masked_single_roi_image_raises(self):
         cfg = small_config(attend_to_self=False)
@@ -573,15 +587,15 @@ class TestMultiImage:
                 assert float(np.max(np.abs(got - want))) < 1e-12 * scale, name
 
     def test_runs_of_empty_images(self):
-        """Two or more images with no RoIs in one group, first, between or
-        last: each image's output is its one-image call's, and the backward
-        runs and matches the one-image backwards."""
+        """Two or more images with no RoIs, first, between or last: they
+        make no group, each image's output is its one-image call's, and the
+        backward runs and matches the one-image backwards."""
         for seed, counts in enumerate(((3, 0, 0, 4), (0, 0, 7), (7, 0, 0, 0))):
             for attend in (True, False):
                 cfg = small_config(attend_to_self=attend)
                 x, params = random_case(140 + seed, sum(counts), cfg)
                 out, cache = nlroi_forward(x, params, cfg, counts=counts)
-                assert any(images > 1 and rois == 0 for _, images, rois in cache.groups)
+                assert all(rois for _, _, rois in cache.groups)
                 up = Prng(150 + seed).normals(out.size).reshape(out.shape)
                 dx, _ = nlroi_backward(cache, params, cfg, up)
                 for rows in split_rows(counts):
@@ -663,17 +677,22 @@ class TestCanonicalOrder:
         return out, cache
 
     def test_parameter_gradients_ignore_relabeling(self):
-        """Ragged counts with an empty image and a twin pair, and two images
-        at paper widths, whose stacked 1x1 VJP sums dW over 5 chunks that
-        straddle the images: relabeling each image's RoIs, with the
-        upstream rows relabeled the same way, moves no bit of the 7
-        gradients, in both masking modes."""
+        """Ragged counts with an empty image and a twin pair, alternating
+        counts with a twin pair in an image whose group does not start at
+        row 0, and two images at paper widths, whose stacked 1x1 VJP sums dW
+        over 5 chunks that straddle the images: relabeling each image's
+        RoIs, with the upstream rows relabeled the same way, moves no bit of
+        the 7 gradients, in both masking modes."""
         paper = dict(d=256, d_f=64, d_mid=64, d_g=64, h=7, w=7)
         for attend in (True, False):
             cfg = small_config(attend_to_self=attend)
             _, params = random_case(124, 1, cfg)
             x = twin_blob(cfg, 125, (0, 1, 2, 1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14))
             self.check(x, params, cfg, counts=(5, 8, 0, 3), seed=126, shuffles=3)
+            # call row 9 repeats row 7, both in image 1 (rows 6 to 15)
+            x = twin_blob(cfg, 129, (*range(9), 7, *range(10, 32)))
+            _, cache = self.check(x, params, cfg, counts=(6, 10, 6, 10), seed=130, shuffles=3)
+            assert cache.twins is not None
             wide = NlRoiConfig(**paper, attend_to_self=attend)
             x, params = random_case(127, 100, wide)
             assert 20 * 256 * 49 <= ops._DW_CHUNK_VALUES < 21 * 256 * 49
@@ -848,7 +867,7 @@ class TestCanonicalOrder:
             x[3] = x[4]
             x[3, -1, -1, -1] += 1.0
             out, cache = self.check(x, params, cfg, counts=counts, seed=97)
-            assert cache.twins == (None, None)
+            assert cache.twins is None
             ref = [nlroi_reference(x[rows], params, cfg) for rows in split_rows(counts)]
             assert np.max(np.abs(out - np.concatenate(ref))) < 1e-9
 
